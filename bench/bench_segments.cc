@@ -5,7 +5,7 @@
 // each, and reports build time, prepared-execute latency, median relative
 // error vs exact, and CI coverage. Emits BENCH_segments.json for CI's perf
 // trajectory. Expected shape: latency grows mildly with segment count
-// (fan-out + merge), accuracy degrades as segments shrink relative to M
+// (one partial per segment + merge), accuracy degrades as segments shrink relative to M
 // (sparse 2-d refinement), and build parallelism improves wall-clock.
 //
 // No google-benchmark dependency: self-calibrating timing loops, so this

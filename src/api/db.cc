@@ -28,7 +28,6 @@ SegmentedExecOptions MakeExecOptions(const DbOptions& options) {
   if (options.kernels != KernelMode::kAuto) {
     eo.engine.kernels = options.kernels;
   }
-  eo.exec_threads = options.exec_threads;
   eo.prune = options.prune_segments;
   return eo;
 }

@@ -19,8 +19,9 @@
 // Segmentation: a Db holds one sealed PairwiseHist per row segment
 // (DbOptions::target_segment_rows; 0 = the paper's single monolithic
 // synopsis). Appends seal each batch as a new segment with fresh bin edges
-// by default — no accuracy drift — and queries fan out across segments in
-// parallel with deterministic merged results (see query/segment_exec.h).
+// by default — no accuracy drift — and queries run segment by segment on
+// the calling thread with deterministic merged results (see
+// query/segment_exec.h).
 #ifndef PAIRWISEHIST_API_DB_H_
 #define PAIRWISEHIST_API_DB_H_
 
@@ -107,14 +108,14 @@ struct DbOptions {
   /// ceil(rows / target) contiguous segments; appended batches are sealed
   /// in chunks of at most this size.
   size_t target_segment_rows = 0;
-  /// Threads for cross-segment query execution: 0 = one per hardware
-  /// core, 1 = serial. Results are bit-identical for any value.
+  /// No effect: segments always execute back to back on the calling
+  /// thread. Kept so existing callers that assign it still compile.
   unsigned exec_threads = 0;
   /// SIMD kernel tier for the execution hot loops (common/simd.h):
   /// kAuto/kWidest picks the widest ISA the binary and CPU support once at
   /// startup (AVX2 → SSE2/NEON → scalar; overridable via the PWH_KERNELS
   /// environment variable), kScalar forces the scalar kernels. Results are
-  /// deterministic per tier — bit-identical across runs and exec_threads —
+  /// deterministic per tier — bit-identical across runs and callers —
   /// and tiers agree to 1e-9 relative. When set to anything other than
   /// kAuto this overrides `engine.kernels`; at the kAuto default,
   /// `engine.kernels` is honoured.
@@ -211,9 +212,10 @@ class PreparedQuery {
 ///    Save, introspection — are safe to call concurrently from any number
 ///    of threads on the same Db. Per-call execution state lives in scratch
 ///    leased from per-engine/per-executor pools (never in shared mutable
-///    members), cross-segment fan-out serializes on the TaskPool
-///    internally, and lazy plan extension after Append synchronizes on
-///    each SegmentedPlan's own mutex with release/acquire publication.
+///    members), every execution runs on its caller's thread (segments
+///    back to back, so concurrent callers never wait on each other), and
+///    lazy plan extension after Append synchronizes on each
+///    SegmentedPlan's own mutex with release/acquire publication.
 ///  - Append and SetBackend are exclusive writers: no other call (const or
 ///    not) may run concurrently with them — Append mutates the synopsis
 ///    set, raw table and compressed store in place.
@@ -245,7 +247,7 @@ class Db {
   static StatusOr<Db> Open(const std::string& path,
                            AqpEngineOptions engine = {});
   /// Same with full options: open_mode selects mmap vs heap, and the
-  /// engine/exec_threads/kernels/prune_segments knobs apply as usual.
+  /// engine/kernels/prune_segments knobs apply as usual.
   static StatusOr<Db> Open(const std::string& path, const DbOptions& options);
   /// Same, from an in-memory serialized blob (always heap-decoded).
   static StatusOr<Db> FromBlob(const std::vector<uint8_t>& blob,

@@ -12,8 +12,8 @@ constexpr double kEpsilon = 1e-15;
 constexpr double kFpMin = 1e-300;
 
 // std::lgamma is not thread-safe on glibc/BSD libms: it writes the global
-// `signgam` on every call, a data race when parallel builds or the batch
-// fan-out evaluate chi-squared quantiles concurrently (caught by the TSan
+// `signgam` on every call, a data race when parallel builds or concurrent
+// queries evaluate chi-squared quantiles at the same time (caught by the TSan
 // CI job). Use the reentrant variant where available; every argument here
 // is positive, so the sign output is irrelevant.
 double LGamma(double x) {

@@ -47,7 +47,7 @@ Status SegmentedExecutor::ExecuteBatchImpl(const SegmentedPlan* const* plans,
     }
   }
   // Extend lazily compiled plans (post-append segments) up front, under
-  // each plan's own mutex, so the fan-out below reads stable state.
+  // each plan's own mutex, so execution below reads stable state.
   for (size_t q = 0; q < nq; ++q) {
     PH_RETURN_IF_ERROR(EnsurePlans(plans[q]->state_.get()));
   }
@@ -64,51 +64,30 @@ Status SegmentedExecutor::ExecuteBatchImpl(const SegmentedPlan* const* plans,
     return engines_[0]->ExecuteBatchInto(scratch.cps, scratch.outs);
   }
 
-  // Fan the batch × segment tasks over the pool: one task per segment,
-  // each running the whole batch's mergeable partials on that segment
-  // through the engine's batched partial path (so grid sharing is
-  // amortized inside every segment too). Pruned (plan, segment) pairs
-  // contribute nothing, exactly like single-plan execution. The merge
-  // below reads every (query, segment) slot, so stale groups from a
+  // One engine call per segment runs the whole batch's mergeable partials
+  // on that segment through the engine's batched partial path, so grid
+  // sharing is amortized inside every segment too. Pruned (plan, segment)
+  // pairs contribute nothing, exactly like single-plan execution. The
+  // merge below reads every (query, segment) slot, so stale groups from a
   // previous lease are cleared up front.
   scratch.parts.resize(nq);
-  scratch.statuses.assign(nseg, Status::OK());
-  scratch.task_cps.resize(nseg);
-  scratch.task_outs.resize(nseg);
   for (size_t q = 0; q < nq; ++q) {
     scratch.parts[q].resize(nseg);
     for (PartialResult& pr : scratch.parts[q]) pr.groups.clear();
   }
-  auto work = [&](size_t s) {
-    std::vector<const CompiledQuery*>& cps = scratch.task_cps[s];
-    std::vector<PartialResult*>& outs = scratch.task_outs[s];
-    cps.clear();
-    outs.clear();
+  for (size_t s = 0; s < nseg; ++s) {
+    scratch.cps.clear();
+    scratch.part_outs.clear();
     for (size_t q = 0; q < nq; ++q) {
       SegmentedPlan::State* st = plans[q]->state_.get();
       if (st->skip[s]) continue;
-      cps.push_back(&st->plans[s]);
-      outs.push_back(&scratch.parts[q][s]);
+      scratch.cps.push_back(&st->plans[s]);
+      scratch.part_outs.push_back(&scratch.parts[q][s]);
     }
-    if (!cps.empty()) {
-      scratch.statuses[s] = engines_[s]->ExecutePartialBatchInto(cps, outs);
+    if (!scratch.cps.empty()) {
+      PH_RETURN_IF_ERROR(engines_[s]->ExecutePartialBatchInto(
+          scratch.cps, scratch.part_outs));
     }
-  };
-  size_t live = 0;
-  for (size_t s = 0; s < nseg; ++s) {
-    bool any = false;
-    for (size_t q = 0; q < nq && !any; ++q) {
-      any = plans[q]->state_->skip[s] == 0;
-    }
-    live += any ? 1 : 0;
-  }
-  if (live > 1 && pool_ != nullptr) {
-    pool_->Run(nseg, work);
-  } else {
-    for (size_t s = 0; s < nseg; ++s) work(s);
-  }
-  for (const Status& s : scratch.statuses) {
-    if (!s.ok()) return s;
   }
   if (options_.ledger != nullptr) {
     for (size_t q = 0; q < nq; ++q) {
@@ -117,9 +96,9 @@ Status SegmentedExecutor::ExecuteBatchImpl(const SegmentedPlan* const* plans,
     }
   }
 
-  // Deterministic serial merge per query in segment order — the same
-  // merge the single-plan path runs, so any exec_threads (and the batch
-  // itself) leaves results bit-identical to the per-query loop.
+  // Deterministic merge per query in segment order — the same merge the
+  // single-plan path runs, so the batch leaves results bit-identical to
+  // the per-query loop.
   const KernelOps* ks = &GetKernels(options_.engine.kernels);
   for (size_t q = 0; q < nq; ++q) {
     const Query& query = plans[q]->state_->query;

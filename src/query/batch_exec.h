@@ -11,9 +11,13 @@
 // aggregation individually. Duplicate statements (same normalized SQL)
 // share one plan outright.
 //
+// On a segmented Db the batch runs segment by segment on the calling
+// thread, one engine call per segment, then merges each statement in
+// segment order.
+//
 // The safety rail: batch results are BIT-IDENTICAL to executing every
 // statement on its own with PreparedQuery::ExecuteInto — on every kernel
-// tier, for any exec_threads, before and after Db::Append (asserted by
+// tier, on one or many segments, before and after Db::Append (asserted by
 // tests/batch_test.cc).
 #ifndef PAIRWISEHIST_QUERY_BATCH_EXEC_H_
 #define PAIRWISEHIST_QUERY_BATCH_EXEC_H_

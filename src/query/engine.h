@@ -68,7 +68,7 @@ struct AqpEngineOptions {
   /// SIMD kernel tier for the execution loops (see common/simd.h):
   /// runtime-detected widest by default, kScalar forces the scalar
   /// kernels. Per-tier results are deterministic (bit-identical across
-  /// runs and exec_threads); scalar and SIMD tiers agree to 1e-9 relative
+  /// runs and callers); scalar and SIMD tiers agree to 1e-9 relative
   /// (lane reassociation only). Both the fast path and the reference path
   /// use the same tier, preserving their exact equivalence.
   KernelMode kernels = KernelMode::kAuto;
@@ -196,8 +196,8 @@ class AqpEngine {
   Status ExecuteBatchInto(const std::vector<const CompiledQuery*>& plans,
                           const std::vector<QueryResult*>& results) const;
 
-  /// Batched counterpart of ExecutePartialInto (the per-segment entry the
-  /// cross-segment batch fan-out uses). Same sharing as ExecuteBatchInto;
+  /// Batched counterpart of ExecutePartialInto (the per-segment entry of
+  /// cross-segment batch execution). Same sharing as ExecuteBatchInto;
   /// out[i] is bit-identical to ExecutePartialInto(*plans[i], out[i]).
   Status ExecutePartialBatchInto(const std::vector<const CompiledQuery*>& plans,
                                  const std::vector<PartialResult*>& out) const;

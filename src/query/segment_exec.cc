@@ -123,9 +123,6 @@ Status SegmentedExecutor::Refresh() {
     engines_.push_back(
         std::make_unique<AqpEngine>(&set_->synopsis(i), options_.engine));
   }
-  if (pool_ == nullptr && engines_.size() > 1 && options_.exec_threads != 1) {
-    pool_ = std::make_unique<TaskPool>(options_.exec_threads);
-  }
   return Status::OK();
 }
 
@@ -208,28 +205,17 @@ Status SegmentedExecutor::ExecuteInto(const SegmentedPlan& plan,
   }
 
   std::vector<PartialResult> parts(nseg);
-  std::vector<Status> statuses(nseg, Status::OK());
-  auto work = [&](size_t i) {
-    if (st->skip[i]) return;  // pruned: contributes nothing
-    statuses[i] = engines_[i]->ExecutePartialInto(st->plans[i], &parts[i]);
-  };
-  size_t live = 0;
-  for (size_t i = 0; i < nseg; ++i) live += st->skip[i] ? 0 : 1;
-  if (live > 1 && pool_ != nullptr) {
-    pool_->Run(nseg, work);
-  } else {
-    for (size_t i = 0; i < nseg; ++i) work(i);
-  }
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
+  for (size_t i = 0; i < nseg; ++i) {
+    if (st->skip[i]) continue;  // pruned: contributes nothing
+    PH_RETURN_IF_ERROR(
+        engines_[i]->ExecutePartialInto(st->plans[i], &parts[i]));
   }
   if (options_.ledger != nullptr && st->query.group_by.empty()) {
     RecordFeedback(*st, parts);
   }
 
-  // Deterministic serial merge in segment order: results are bit-equal for
-  // any exec_threads value. The merge runs on the same kernel tier as the
-  // per-segment executions.
+  // Deterministic merge in segment order. The merge runs on the same
+  // kernel tier as the per-segment executions.
   MergePartialResults(st->query.func, !st->query.group_by.empty(), parts,
                       result, &GetKernels(options_.engine.kernels));
   return Status::OK();

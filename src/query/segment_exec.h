@@ -2,11 +2,12 @@
 //
 // One AqpEngine per sealed segment; a query is compiled per segment (each
 // segment has its own code domain), pruned against per-segment min/max
-// ranges, executed as mergeable partials — in parallel on a persistent
-// work-stealing pool — and merged serially in segment order, so results
-// are bit-identical for every exec_threads value. A one-segment set
-// short-circuits to the plain engine path and behaves exactly like the
-// monolithic synopsis (including the zero-allocation fast path).
+// ranges, executed as mergeable partials and merged in segment order. All
+// of it runs on the calling thread: a segment's partial takes microseconds,
+// less than a cross-core wake-up, and a server's concurrent requests
+// already keep every core busy. A one-segment set short-circuits to the
+// plain engine path and behaves exactly like the monolithic synopsis
+// (including the zero-allocation fast path).
 //
 // Plans extend lazily: Db::Append seals new segments, and the first
 // execution after an append compiles the missing per-segment plans under
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "common/object_pool.h"
-#include "common/parallel.h"
 #include "common/status.h"
 #include "core/synopsis_set.h"
 #include "query/engine.h"
@@ -33,9 +33,6 @@ namespace pairwisehist {
 struct SegmentedExecOptions {
   /// Per-segment engine refinement toggles.
   AqpEngineOptions engine;
-  /// Fan-out threads for multi-segment execution: 0 = one per hardware
-  /// core, 1 = serial. Results are identical for any value.
-  unsigned exec_threads = 0;
   /// Skip segments whose per-column min/max provably cannot satisfy the
   /// WHERE clause.
   bool prune = true;
@@ -98,18 +95,17 @@ class SegmentedExecutor {
   StatusOr<SegmentedPlan> Prepare(const Query& query) const;
 
   /// Executes: single segment delegates to the plain engine; multiple
-  /// segments fan partials out over the pool and merge deterministically.
+  /// segments run their partials in segment order, then merge.
   Status ExecuteInto(const SegmentedPlan& plan, QueryResult* result) const;
   StatusOr<QueryResult> Execute(const SegmentedPlan& plan) const;
 
   /// Batch execution (implemented in batch_exec.cc): plans execute as one
   /// batch per segment through AqpEngine::ExecuteBatchInto /
   /// ExecutePartialBatchInto, so grid-sharing plans amortize their
-  /// coverage + weighting within every segment. Multiple segments fan the
-  /// batch × segment partial tasks over the pool and merge each query
-  /// serially in segment order; results[i] is bit-identical to
-  /// ExecuteInto(*plans[i], results[i]) for any exec_threads. Plans extend
-  /// lazily after appends exactly like single-plan execution.
+  /// coverage + weighting within every segment. Multiple segments run the
+  /// batch segment by segment and merge each query in segment order;
+  /// results[i] is bit-identical to ExecuteInto(*plans[i], results[i]).
+  /// Plans extend lazily after appends exactly like single-plan execution.
   Status ExecuteBatchInto(const std::vector<const SegmentedPlan*>& plans,
                           const std::vector<QueryResult*>& results) const;
 
@@ -140,14 +136,12 @@ class SegmentedExecutor {
   /// never share mutable state. Vectors only ever grow; stale partial
   /// groups are cleared on reuse (the merge reads every slot).
   struct BatchExecScratch {
-    std::vector<const SegmentedPlan*> plan_ptrs;  // contiguous overload
-    std::vector<QueryResult*> result_ptrs;        // contiguous overload
-    std::vector<const CompiledQuery*> cps;        // single-segment batch
-    std::vector<QueryResult*> outs;               // single-segment batch
+    std::vector<const SegmentedPlan*> plan_ptrs;    // contiguous overload
+    std::vector<QueryResult*> result_ptrs;          // contiguous overload
+    std::vector<const CompiledQuery*> cps;          // one engine call
+    std::vector<QueryResult*> outs;                 // single-segment batch
+    std::vector<PartialResult*> part_outs;          // one segment's partials
     std::vector<std::vector<PartialResult>> parts;  // [query][segment]
-    std::vector<std::vector<const CompiledQuery*>> task_cps;  // per segment
-    std::vector<std::vector<PartialResult*>> task_outs;       // per segment
-    std::vector<Status> statuses;                             // per segment
   };
   Status ExecuteBatchImpl(const SegmentedPlan* const* plans,
                           QueryResult* const* results, size_t n,
@@ -158,9 +152,6 @@ class SegmentedExecutor {
   std::vector<std::unique_ptr<AqpEngine>> engines_;
   /// The set structure_generation() engines_ was built against.
   uint64_t structure_seen_ = 0;
-  /// Persistent fan-out pool; created by the constructor / Refresh once
-  /// the set holds more than one segment (and exec_threads != 1).
-  std::unique_ptr<TaskPool> pool_;
   /// Batch scratch pool (unique_ptr keeps the executor movable).
   std::unique_ptr<ObjectPool<BatchExecScratch>> batch_pool_ =
       std::make_unique<ObjectPool<BatchExecScratch>>();

@@ -142,14 +142,32 @@ void HttpServer::AcceptLoop() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     SetIoTimeout(fd, options_.io_timeout_ms);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
+    // A slot whose fd is -1 belongs to a connection thread that has
+    // finished: join it (outside the lock) and hand the slot to the new
+    // connection, so the registry and the mapped thread stacks stay
+    // bounded by the peak number of open connections.
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stop_.load(std::memory_order_relaxed)) {
+        ::close(fd);
+        break;
+      }
+      size_t slot = fds_.size();
+      for (size_t i = 0; i < fds_.size(); ++i) {
+        if (fds_[i] >= 0) continue;
+        if (conns_[i].joinable()) finished.push_back(std::move(conns_[i]));
+        if (slot == fds_.size()) slot = i;
+      }
+      if (slot == fds_.size()) {
+        fds_.push_back(fd);
+        conns_.emplace_back();
+      } else {
+        fds_[slot] = fd;
+      }
+      conns_[slot] = std::thread([this, slot] { ServeConn(slot); });
     }
-    const size_t slot = fds_.size();
-    fds_.push_back(fd);
-    conns_.emplace_back([this, slot] { ServeConn(slot); });
+    for (std::thread& t : finished) t.join();
   }
 }
 

@@ -123,7 +123,8 @@ class HttpServer {
 
   /// Connection registry: fds_[i] pairs with conns_[i]; a thread clears
   /// its fd slot (under mu_) when it closes, so Stop can shut down every
-  /// live socket without racing fd reuse.
+  /// live socket without racing fd reuse. AcceptLoop joins the threads of
+  /// cleared slots and reuses the slots for new connections.
   std::mutex mu_;
   std::vector<int> fds_;
   std::vector<std::thread> conns_;

@@ -1,8 +1,8 @@
 // Batch execution validation (query/batch_exec.h): executing many
 // statements as one batch must produce results BIT-IDENTICAL to looping
 // per-query PreparedQuery::ExecuteInto — same doubles, not approximately
-// equal — across every compiled kernel tier, across exec_threads on a
-// segmented Db, and across Db::Append (lazy plan extension). Plus the
+// equal — across every compiled kernel tier, on a segmented Db, and
+// across Db::Append (lazy plan extension). Plus the
 // duplicate-statement dedup, the reference-path batch, and API edges.
 // Batch scratch is pooled (common/object_pool.h), so repeated ExecuteInto
 // calls must also be allocation-free in steady state — asserted below
@@ -308,24 +308,21 @@ TEST(BatchEquivalence, TaxisWithNullsFullSample) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence across exec_threads (multi-segment fan-out + serial merge).
+// Equivalence on a segmented Db (per-segment batches + merge in segment
+// order).
 
-TEST(BatchEquivalence, MultiSegmentExecThreads) {
+TEST(BatchEquivalence, MultiSegment) {
   auto t = MakeDataset("power", 40000, 9);
   ASSERT_TRUE(t.ok());
-  for (unsigned threads : {1u, 8u}) {
-    SCOPED_TRACE("exec_threads=" + std::to_string(threads));
-    DbOptions opt;
-    opt.synopsis.sample_size = 6000;
-    opt.target_segment_rows = 6000;  // 7 segments
-    opt.exec_threads = threads;
-    auto db = Db::FromTable(*t, opt);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    ASSERT_GT(db->num_segments(), 1u);
-    size_t checked = 0;
+  DbOptions opt;
+  opt.synopsis.sample_size = 6000;
+  opt.target_segment_rows = 6000;  // 7 segments
+  auto db = Db::FromTable(*t, opt);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_GT(db->num_segments(), 1u);
+  size_t checked = 0;
   RunBatchEquivalence(db.value(), t.value(), 201, 100, &checked);
-    EXPECT_GE(checked, 70u);
-  }
+  EXPECT_GE(checked, 70u);
 }
 
 // ---------------------------------------------------------------------------

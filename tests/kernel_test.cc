@@ -6,8 +6,8 @@
 //    the same reduction over a wider zero-padded range, exactly),
 //  * scalar-vs-dispatched agreement (<= 1e-9 relative) over >= 1000
 //    randomized queries reusing the fastpath_test harness,
-//  * bit-identical repeat-run determinism per kernel setting, including
-//    across exec_threads on a segmented Db,
+//  * bit-identical repeat-run determinism per kernel setting on a
+//    segmented Db,
 //  * the 64-byte alignment guarantee of every ExecArena span.
 #include <cmath>
 #include <cstdint>
@@ -531,8 +531,8 @@ TEST(KernelQueryEquivalence, TaxisFullSample500) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: per kernel setting, repeated runs are bit-identical — also
-// across exec_threads on a segmented Db.
+// Determinism: per kernel setting, repeated runs on a segmented Db are
+// bit-identical.
 
 std::vector<double> Fingerprint(const Db& db,
                                 const std::vector<std::string>& sqls) {
@@ -558,7 +558,7 @@ bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-TEST(KernelDeterminism, RepeatRunsAndThreadCountsBitIdentical) {
+TEST(KernelDeterminism, RepeatRunsBitIdentical) {
   const std::vector<std::string> sqls = {
       "SELECT COUNT(voltage) FROM power WHERE voltage > 240;",
       "SELECT SUM(global_active_power) FROM power WHERE hour >= 6 AND "
@@ -572,25 +572,14 @@ TEST(KernelDeterminism, RepeatRunsAndThreadCountsBitIdentical) {
   };
   for (KernelMode mode : {KernelMode::kScalar, KernelMode::kWidest}) {
     SCOPED_TRACE(KernelModeName(mode));
-    std::vector<double> base;
-    for (int rep = 0; rep < 2; ++rep) {
-      DbOptions opt;
-      opt.synopsis.sample_size = 6000;
-      opt.kernels = mode;
-      opt.target_segment_rows = 5000;  // multi-segment
-      opt.exec_threads = rep == 0 ? 1 : 4;
-      auto db = Db::FromGenerator("power", 20000, 9, opt);
-      ASSERT_TRUE(db.ok()) << db.status().ToString();
-      std::vector<double> fp = Fingerprint(db.value(), sqls);
-      // Executing twice from the same Db must also be bit-stable.
-      EXPECT_TRUE(BitIdentical(fp, Fingerprint(db.value(), sqls)));
-      if (rep == 0) {
-        base = std::move(fp);
-      } else {
-        EXPECT_TRUE(BitIdentical(base, fp))
-            << "results changed across exec_threads";
-      }
-    }
+    DbOptions opt;
+    opt.synopsis.sample_size = 6000;
+    opt.kernels = mode;
+    opt.target_segment_rows = 5000;  // multi-segment
+    auto db = Db::FromGenerator("power", 20000, 9, opt);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_TRUE(BitIdentical(Fingerprint(db.value(), sqls),
+                             Fingerprint(db.value(), sqls)));
   }
 }
 

@@ -1,9 +1,9 @@
 // Tests for PWS3 zero-copy memory-mapped synopsis persistence: mmap-vs-heap
-// bit-equality across kernel tiers and exec-thread counts, copy-on-write
-// promotion when a mapped synopsis is appended to or mutated, rejection of
-// torn/truncated/corrupt files with a clean Status, multi-process shared
-// opens, the PWH_OPEN environment override, and the legacy PWS2 fixture
-// regression (transparent heap conversion + re-save as PWS3).
+// bit-equality across kernel tiers, copy-on-write promotion when a mapped
+// synopsis is appended to or mutated, rejection of torn/truncated/corrupt
+// files with a clean Status, multi-process shared opens, the PWH_OPEN
+// environment override, and the legacy PWS2 fixture regression
+// (transparent heap conversion + re-save as PWS3).
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -119,12 +119,10 @@ class MmapTest : public ::testing::Test {
   }
 
   static Db OpenOrDie(const std::string& path, OpenMode mode,
-                      KernelMode kernels = KernelMode::kAuto,
-                      unsigned exec_threads = 0) {
+                      KernelMode kernels = KernelMode::kAuto) {
     DbOptions options;
     options.open_mode = mode;
     options.kernels = kernels;
-    options.exec_threads = exec_threads;
     auto db = Db::Open(path, options);
     EXPECT_TRUE(db.ok()) << db.status().ToString();
     return std::move(db).value();
@@ -137,30 +135,26 @@ class MmapTest : public ::testing::Test {
 std::string* MmapTest::pws3_path_ = nullptr;
 std::string* MmapTest::pws2_path_ = nullptr;
 
-// The hard safety rail: for every kernel tier and both serial and parallel
-// cross-segment execution, a mmap-opened Db answers bit-identically to a
-// heap-opened one over fixed + randomized workloads.
-TEST_F(MmapTest, MmapBitEqualsHeapAcrossKernelsAndThreads) {
+// The hard safety rail: for every kernel tier, a mmap-opened Db answers
+// bit-identically to a heap-opened one over fixed + randomized workloads.
+TEST_F(MmapTest, MmapBitEqualsHeapAcrossKernels) {
   const std::vector<std::string> sqls = MakeWorkload(11, 20);
   for (KernelMode kernels : {KernelMode::kScalar, KernelMode::kWidest}) {
-    for (unsigned threads : {1u, 8u}) {
-      Db heap = OpenOrDie(*pws3_path_, OpenMode::kHeap, kernels, threads);
-      Db mmap = OpenOrDie(*pws3_path_, OpenMode::kMmap, kernels, threads);
-      EXPECT_FALSE(heap.mapped());
-      ASSERT_TRUE(mmap.mapped());
-      EXPECT_GT(mmap.mapped_bytes(), 0u);
-      EXPECT_EQ(mmap.num_segments(), 4u);
-      EXPECT_EQ(mmap.total_rows(), heap.total_rows());
-      for (const std::string& sql : sqls) {
-        auto h = heap.ExecuteSql(sql);
-        auto m = mmap.ExecuteSql(sql);
-        ASSERT_TRUE(h.ok()) << sql << ": " << h.status().ToString();
-        ASSERT_TRUE(m.ok()) << sql << ": " << m.status().ToString();
-        ExpectBitEqual(h.value(), m.value(),
-                       sql + " kernels=" +
-                           std::to_string(static_cast<int>(kernels)) +
-                           " threads=" + std::to_string(threads));
-      }
+    Db heap = OpenOrDie(*pws3_path_, OpenMode::kHeap, kernels);
+    Db mmap = OpenOrDie(*pws3_path_, OpenMode::kMmap, kernels);
+    EXPECT_FALSE(heap.mapped());
+    ASSERT_TRUE(mmap.mapped());
+    EXPECT_GT(mmap.mapped_bytes(), 0u);
+    EXPECT_EQ(mmap.num_segments(), 4u);
+    EXPECT_EQ(mmap.total_rows(), heap.total_rows());
+    for (const std::string& sql : sqls) {
+      auto h = heap.ExecuteSql(sql);
+      auto m = mmap.ExecuteSql(sql);
+      ASSERT_TRUE(h.ok()) << sql << ": " << h.status().ToString();
+      ASSERT_TRUE(m.ok()) << sql << ": " << m.status().ToString();
+      ExpectBitEqual(h.value(), m.value(),
+                     sql + " kernels=" +
+                         std::to_string(static_cast<int>(kernels)));
     }
   }
 }

@@ -2,17 +2,22 @@
 // (a) agree with the monolithic single-segment Db within CI bounds on a
 // randomized workload over every aggregate function and predicate shape,
 // (b) merge COUNT/SUM/MIN/MAX partials exactly (the merged answer equals
-// the combination of independent per-segment answers), (c) produce
-// bit-identical doubles for any exec_threads value, (d) round-trip the
-// multi-segment persistence container and still open PR-1-era
-// single-synopsis blobs, (e) resolve categorical predicates and GROUP BY
-// labels across segments whose dictionaries grew after an append, and
-// (f) prune provably-non-matching segments without changing any result.
+// the combination of independent per-segment answers), (c) give
+// concurrent callers bit-identical doubles to a single caller, without
+// spawning threads of its own, (d) round-trip the multi-segment
+// persistence container and still open PR-1-era single-synopsis blobs,
+// (e) resolve categorical predicates and GROUP BY labels across segments
+// whose dictionaries grew after an append, and (f) prune
+// provably-non-matching segments without changing any result.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -184,13 +189,12 @@ Table ControlledTable(size_t n, uint64_t seed) {
   return t;
 }
 
-StatusOr<Db> BuildSegmented(Table table, size_t nseg, unsigned exec_threads,
+StatusOr<Db> BuildSegmented(Table table, size_t nseg,
                             size_t sample_size = 0) {
   DbOptions options;
   options.synopsis.sample_size = sample_size;
   options.target_segment_rows =
       nseg == 0 ? 0 : (table.NumRows() + nseg - 1) / nseg;
-  options.exec_threads = exec_threads;
   options.build_threads = 2;
   return Db::FromTable(std::move(table), options);
 }
@@ -203,8 +207,8 @@ TEST(SegmentEquivalence, OneVsSixteenSegmentsWithinBounds) {
   // keep cross-column structure (tiny segments collapse sparse 2-d
   // histograms toward uniformity — quantified in bench_segments).
   const size_t kRows = 96000;
-  auto db1 = BuildSegmented(ControlledTable(kRows, 101), 0, 1);
-  auto db16 = BuildSegmented(ControlledTable(kRows, 101), 16, 2);
+  auto db1 = BuildSegmented(ControlledTable(kRows, 101), 0);
+  auto db16 = BuildSegmented(ControlledTable(kRows, 101), 16);
   ASSERT_TRUE(db1.ok()) << db1.status().ToString();
   ASSERT_TRUE(db16.ok()) << db16.status().ToString();
   ASSERT_EQ(db1->num_segments(), 1u);
@@ -281,7 +285,7 @@ TEST(SegmentEquivalence, OneVsSixteenSegmentsWithinBounds) {
 // combination of independent per-segment engine answers.
 
 TEST(SegmentEquivalence, CountSumMinMaxMergeExactly) {
-  auto db = BuildSegmented(ControlledTable(20000, 55), 8, 1);
+  auto db = BuildSegmented(ControlledTable(20000, 55), 8);
   ASSERT_TRUE(db.ok());
   const SegmentedExecutor& ex = db->executor();
   ASSERT_EQ(ex.NumSegments(), 8u);
@@ -348,65 +352,121 @@ TEST(SegmentEquivalence, CountSumMinMaxMergeExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// (c) Determinism: identical results (bit-equal doubles) for any
-// exec_threads value, alongside the fast-path suite's guarantees.
+// (c) Concurrency: every execution runs on its caller's thread. Callers
+// sharing one Db (a server's connection threads) get exactly the answers a
+// lone caller gets, and no Db — nor any copy-on-append snapshot of it —
+// keeps threads of its own.
 
-TEST(SegmentDeterminism, SerialVsEightThreadsBitEqual) {
-  auto serial = BuildSegmented(ControlledTable(20000, 77), 8, 1);
-  auto threaded = BuildSegmented(ControlledTable(20000, 77), 8, 8);
-  ASSERT_TRUE(serial.ok() && threaded.ok());
-  ASSERT_EQ(serial->num_segments(), 8u);
-  ASSERT_EQ(threaded->num_segments(), 8u);
-
-  std::vector<ColumnStats> stats = CollectStats(*serial->table());
-  Rng rng(23);
-  size_t executed = 0;
-  for (size_t i = 0; i < 300; ++i) {
-    Query q = RandQuery(&rng, stats, "ctl", /*allow_group=*/true);
-    auto a = serial->Execute(q);
-    auto b = threaded->Execute(q);
-    ASSERT_EQ(a.ok(), b.ok()) << q.ToSql();
-    if (!a.ok()) continue;
-    ++executed;
-    ASSERT_EQ(a->groups.size(), b->groups.size()) << q.ToSql();
-    for (size_t g = 0; g < a->groups.size(); ++g) {
-      EXPECT_EQ(a->groups[g].label, b->groups[g].label) << q.ToSql();
-      EXPECT_EQ(a->groups[g].agg.empty_selection,
-                b->groups[g].agg.empty_selection)
-          << q.ToSql();
-      EXPECT_TRUE(SameDouble(a->groups[g].agg.estimate,
-                             b->groups[g].agg.estimate))
-          << q.ToSql();
-      EXPECT_TRUE(
-          SameDouble(a->groups[g].agg.lower, b->groups[g].agg.lower))
-          << q.ToSql();
-      EXPECT_TRUE(
-          SameDouble(a->groups[g].agg.upper, b->groups[g].agg.upper))
-          << q.ToSql();
+bool BitEqual(const QueryResult& a, const QueryResult& b) {
+  if (a.groups.size() != b.groups.size()) return false;
+  for (size_t g = 0; g < a.groups.size(); ++g) {
+    const AggResult& x = a.groups[g].agg;
+    const AggResult& y = b.groups[g].agg;
+    if (a.groups[g].label != b.groups[g].label ||
+        x.empty_selection != y.empty_selection ||
+        !SameDouble(x.estimate, y.estimate) ||
+        !SameDouble(x.lower, y.lower) || !SameDouble(x.upper, y.upper)) {
+      return false;
     }
   }
-  EXPECT_GT(executed, 150u);
+  return true;
 }
 
-// Repeated executions of one prepared query on a threaded multi-segment Db
-// are self-consistent (the pool introduces no scheduling dependence).
-TEST(SegmentDeterminism, RepeatedThreadedExecutionStable) {
-  auto db = BuildSegmented(ControlledTable(12000, 31), 6, 4);
+TEST(SegmentConcurrency, ConcurrentCallersBitEqualSingleCaller) {
+  auto db = BuildSegmented(ControlledTable(20000, 77), 8);
   ASSERT_TRUE(db.ok());
-  auto pq = db->Prepare(
-      "SELECT AVG(y) FROM ctl WHERE x > 100 AND x < 900 OR g = 'big';");
-  ASSERT_TRUE(pq.ok());
-  auto first = pq->Execute();
-  ASSERT_TRUE(first.ok());
-  for (int i = 0; i < 50; ++i) {
-    auto again = pq->Execute();
-    ASSERT_TRUE(again.ok());
-    ASSERT_EQ(again->groups.size(), first->groups.size());
-    EXPECT_TRUE(SameDouble(again->Scalar().estimate,
-                           first->Scalar().estimate));
-    EXPECT_TRUE(SameDouble(again->Scalar().lower, first->Scalar().lower));
-    EXPECT_TRUE(SameDouble(again->Scalar().upper, first->Scalar().upper));
+  ASSERT_EQ(db->num_segments(), 8u);
+
+  std::vector<ColumnStats> stats = CollectStats(*db->table());
+  Rng rng(23);
+  std::vector<Query> queries;
+  for (size_t i = 0; i < 200 && queries.size() < 48; ++i) {
+    Query q = RandQuery(&rng, stats, "ctl", /*allow_group=*/true);
+    if (db->Prepare(q).ok()) queries.push_back(std::move(q));
   }
+  ASSERT_GE(queries.size(), 32u);
+  auto batch = db->PrepareBatch(queries);
+  auto single = db->Prepare(
+      "SELECT AVG(y) FROM ctl WHERE x > 100 AND x < 900 OR g = 'big';");
+  ASSERT_TRUE(batch.ok() && single.ok());
+  auto want_batch = batch->Execute();
+  auto want_single = single->Execute();
+  ASSERT_TRUE(want_batch.ok() && want_single.ok());
+
+  constexpr int kThreads = 4;
+  constexpr int kReps = 20;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&] {
+      std::vector<QueryResult> got;
+      QueryResult one;
+      for (int rep = 0; rep < kReps; ++rep) {
+        if (!batch->ExecuteInto(&got).ok() ||
+            got.size() != want_batch->size()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (size_t i = 0; i < got.size(); ++i) {
+          if (!BitEqual(got[i], (*want_batch)[i])) failures.fetch_add(1);
+        }
+        if (!single->ExecuteInto(&one).ok() ||
+            !BitEqual(one, want_single.value())) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+size_t CountThreads() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(SegmentConcurrency, DbAndSnapshotsSpawnNoResidentThreads) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  const size_t start = CountThreads();
+
+  DbOptions options;  // defaults, apart from the segment size
+  options.target_segment_rows = 2000;
+  auto db = Db::FromTable(ControlledTable(8000, 5), options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_EQ(db->num_segments(), 4u);
+  auto batch = db->PrepareBatch(std::vector<std::string>{
+      "SELECT COUNT(x) FROM ctl WHERE x > 100;",
+      "SELECT AVG(y) FROM ctl WHERE x < 700;",
+      "SELECT SUM(y) FROM ctl GROUP BY g;"});
+  auto pq = db->Prepare("SELECT AVG(y) FROM ctl WHERE g = 'big';");
+  ASSERT_TRUE(batch.ok() && pq.ok());
+  ASSERT_TRUE(batch->Execute().ok());
+  ASSERT_TRUE(pq->Execute().ok());
+  std::vector<Db> snapshots;
+  for (uint64_t i = 0; i < 3; ++i) {
+    const Db& base = snapshots.empty() ? db.value() : snapshots.back();
+    auto next = base.WithAppended(ControlledTable(500, 100 + i));
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    snapshots.push_back(std::move(next).value());
+  }
+
+  // Build threads are joined before Db::FromTable/WithAppended return, but
+  // the kernel may list an exited thread for a moment after the join.
+  size_t now = CountThreads();
+  for (int i = 0; i < 200 && now > start; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    now = CountThreads();
+  }
+  EXPECT_EQ(now, start) << "threads left running by " << 1 + snapshots.size()
+                        << " live Dbs";
 }
 
 // ---------------------------------------------------------------------------
@@ -414,7 +474,7 @@ TEST(SegmentDeterminism, RepeatedThreadedExecutionStable) {
 // single-synopsis (PWH1) blobs still open.
 
 TEST(SegmentPersistence, MultiSegmentSaveOpenRoundTrip) {
-  auto db = BuildSegmented(ControlledTable(16000, 91), 4, 1, 4000);
+  auto db = BuildSegmented(ControlledTable(16000, 91), 4, 4000);
   ASSERT_TRUE(db.ok());
   ASSERT_EQ(db->num_segments(), 4u);
   std::string path = ::testing::TempDir() + "/segment_test_set.ph";
@@ -604,7 +664,6 @@ TEST(SegmentPruning, DisjointRangesPruneWithoutChangingResults) {
   DbOptions pruned;
   pruned.synopsis.sample_size = 0;
   pruned.target_segment_rows = 2000;
-  pruned.exec_threads = 1;
   DbOptions unpruned = pruned;
   unpruned.prune_segments = false;
 

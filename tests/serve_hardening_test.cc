@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -312,6 +313,32 @@ TEST_F(RawSocketAbuse, IdlePeersAreReaped) {
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->status, 200);
   server.Stop();
+}
+
+size_t MapsLines() {
+  std::ifstream maps("/proc/self/maps");
+  size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+// Every accepted connection gets a thread; once it closes, the server must
+// join that thread and reuse its slot. Unjoined, each closed connection
+// keeps its thread's stack mapped for the server's lifetime.
+TEST_F(RawSocketAbuse, ClosedConnectionsReleaseTheirThreads) {
+  if (MapsLines() == 0) GTEST_SKIP() << "no /proc/self/maps";
+  auto cycle = [&] {
+    HttpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    auto resp = client.Request("GET", "/stats");
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->status, 200);
+  };
+  for (int i = 0; i < 10; ++i) cycle();
+  const size_t warm = MapsLines();
+  for (int i = 10; i < 200; ++i) cycle();
+  EXPECT_LE(MapsLines(), warm + 16)
+      << "mappings grew with the number of closed connections";
 }
 
 // ---------------------------------------------------------------------------
