@@ -312,9 +312,6 @@ HttpResponse HandleStats(ServingDb* db, ServiceGate* gate) {
   b += ",\"queries\":" + std::to_string(s.queries);
   b += ",\"batches\":" + std::to_string(s.batches);
   b += ",\"batch_statements\":" + std::to_string(s.batch_statements);
-  b += ",\"coalesced_groups\":" + std::to_string(s.coalesced_groups);
-  b += ",\"coalesced_statements\":" + std::to_string(s.coalesced_statements);
-  b += ",\"max_group\":" + std::to_string(s.max_group);
   b += ",\"cache_hits\":" + std::to_string(s.cache_hits);
   b += ",\"cache_misses\":" + std::to_string(s.cache_misses);
   b += ",\"cache_entries\":" + std::to_string(s.cache_entries);
@@ -459,22 +456,20 @@ HttpServer::BatchHandler MakeServingBatchHandler(ServingDb* db,
   return [db, gate, state](const std::vector<HttpRequest>& reqs)
              -> std::vector<HttpResponse> {
     std::vector<HttpResponse> out(reqs.size());
-    // Well-formed /query statements in the group coalesce into one
-    // QueryBatch on this thread (the pipelined-burst analogue of the
-    // cross-connection ReadCoalescer); everything else — other
-    // endpoints, bad bodies — takes the single-request path, producing
-    // byte-identical responses to unpipelined traffic. Admission is
-    // per-request: shed requests answer 503 while their well-behaved
-    // pipeline neighbors still execute.
+    // Well-formed /query statements in the group run as one QueryBatch
+    // on this thread; everything else — other endpoints, bad bodies —
+    // takes the single-request path, producing byte-identical responses
+    // to unpipelined traffic. Admission is per-request: shed requests
+    // answer 503 while their well-behaved pipeline neighbors still
+    // execute.
     std::vector<size_t> qidx;
     std::vector<std::string> sqls;
-    const bool coalesce = db->options().coalesce;
     for (size_t i = 0; i < reqs.size(); ++i) {
       const HttpRequest& req = reqs[i];
       // A request that opts into degraded reads carries per-request read
-      // options the coalesced path cannot represent — route it through
+      // options the grouped path cannot represent — route it through
       // the single-request path so the header is honored.
-      if (coalesce && req.method == "POST" && req.path == "/query" &&
+      if (req.method == "POST" && req.path == "/query" &&
           req.FindHeader("X-Allow-Degraded") == nullptr) {
         StatusOr<JsonValue> doc = ParseJson(req.body);
         const JsonValue* sql =

@@ -101,11 +101,10 @@ HttpServer::Handler MakeServingHandler(ServingDb* db,
                                        ServiceGate* gate = nullptr,
                                        ServiceState* state = nullptr);
 
-/// Builds the pipelining-aware group handler: consecutive POST /query
-/// requests in a pipelined burst coalesce into one batch execution on
-/// the connection's own thread when `db` has coalescing enabled (other
-/// requests, and all traffic with coalescing off, fall back to the
-/// single-request path with byte-identical responses). Install alongside
+/// Builds the pipelining-aware group handler: the POST /query requests
+/// of a pipelined burst run as one batch execution on the connection's
+/// own thread (other requests fall back to the single-request path with
+/// byte-identical responses). Install alongside
 /// MakeServingHandler: HttpServer(MakeServingHandler(db, gate),
 /// MakeServingBatchHandler(db, gate)).
 HttpServer::BatchHandler MakeServingBatchHandler(ServingDb* db,

@@ -412,8 +412,7 @@ TEST_F(DegradedServing, FailsClosedThenDegradesWithHeader) {
 }
 
 // DbOptions::allow_degraded makes degradation the db-wide policy: plain
-// reads (including the coalesced path, which carries no per-read
-// options) degrade instead of failing.
+// reads (which carry no per-read options) degrade instead of failing.
 TEST_F(DegradedServing, DbLevelOptInDegradesPlainReads) {
   ServingDb sdb(OpenQuarantined(/*allow_degraded=*/true));
   QueryResult result;
@@ -422,9 +421,9 @@ TEST_F(DegradedServing, DbLevelOptInDegradesPlainReads) {
   EXPECT_GE(sdb.Stats().degraded_reads, 1u);
 }
 
-// In a pipelined burst, a request opting into degraded reads bypasses
-// the coalescer (per-request options don't coalesce) while its neighbors
-// fail closed.
+// In a pipelined burst, a request opting into degraded reads leaves the
+// burst's shared batch (per-request options don't batch) while its
+// neighbors fail closed.
 TEST_F(DegradedServing, PipelinedBurstHonorsPerRequestOptIn) {
   ServingDb sdb(OpenQuarantined(/*allow_degraded=*/false));
   auto batch_handler = MakeServingBatchHandler(&sdb);

@@ -1,11 +1,14 @@
 // Serving-layer validation (src/serve/): snapshot-isolated concurrent
 // reads under appends (bit-equality against per-epoch replay), plan-cache
-// hits and epoch invalidation, coalesced execution identical to
-// uncoalesced, JSON parse/format, and full HTTP round-trips including
-// error statuses. The reader/writer tests are the designated TSan
-// workload for the serve subsystem.
+// hits and epoch invalidation, concurrent point reads that run in
+// parallel and match plain execution, JSON parse/format, and full HTTP
+// round-trips including error statuses. The reader/writer tests are the
+// designated TSan workload for the serve subsystem.
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,8 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "api/db.h"
+#include "baselines/aqp_method.h"
 #include "datagen/datasets.h"
-#include "serve/coalescer.h"
 #include "serve/http_client.h"
 #include "serve/http_server.h"
 #include "serve/json.h"
@@ -251,50 +254,70 @@ TEST(PlanCache, EvictsLeastRecentlyUsed) {
 }
 
 // ---------------------------------------------------------------------------
-// Coalescer
+// ServingDb: concurrent point reads run in parallel, match plain execution,
+// and are accounted in the stats.
 
-TEST(Coalescer, GroupsConcurrentSubmitters) {
-  std::atomic<int> calls{0};
-  ReadCoalescer coalescer(
-      [&](const std::vector<ReadCoalescer::Request*>& group) {
-        calls.fetch_add(1);
-        for (ReadCoalescer::Request* r : group) {
-          r->status = Status::OK();
-          r->epoch = 42;
-        }
-      },
-      /*window_us=*/200000);  // generous window: stragglers always group
+// A backend whose Execute waits (up to 5 s) until `want` calls are inside
+// it at once, recording the peak: a serving layer that runs concurrent
+// reads one after another never gets past a peak of 1.
+class RendezvousBackend : public AqpMethod {
+ public:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    int inside = 0;
+    int peak = 0;
+  };
+  RendezvousBackend(State* state, int want) : state_(state), want_(want) {}
 
-  constexpr int kThreads = 4;
+  std::string name() const override { return "Rendezvous"; }
+  size_t StorageBytes() const override { return 0; }
+  StatusOr<QueryResult> Execute(const Query& query) const override {
+    (void)query;
+    std::unique_lock<std::mutex> lock(state_->mu);
+    state_->peak = std::max(state_->peak, ++state_->inside);
+    state_->cv.notify_all();
+    state_->cv.wait_for(lock, std::chrono::seconds(5),
+                        [&] { return state_->peak >= want_; });
+    --state_->inside;
+    QueryResult result;
+    result.groups.push_back({"", AggResult{1.0, 1.0, 1.0, false}});
+    return result;
+  }
+
+ private:
+  State* state_;
+  int want_;
+};
+
+TEST(ServingDbTest, ConcurrentQueriesExecuteInParallel) {
+  constexpr int kThreads = 2;
+  RendezvousBackend::State state;
+  Db db = MakePowerDb(4000);
+  ASSERT_TRUE(
+      db.SetBackend(std::make_unique<RendezvousBackend>(&state, kThreads))
+          .ok());
+  ServingDb serving(std::move(db));
+
+  std::vector<Status> status(kThreads);
   std::vector<std::thread> threads;
-  std::vector<ReadCoalescer::Request> reqs(kThreads);
-  std::vector<std::string> sqls(kThreads, "q");
   for (int t = 0; t < kThreads; ++t) {
-    reqs[t].sql = &sqls[t];
-    threads.emplace_back([&, t] { coalescer.Submit(&reqs[t]); });
+    threads.emplace_back([&, t] {
+      QueryResult result;
+      status[t] = serving.Query(ServeSqls()[0], &result);
+    });
   }
   for (std::thread& t : threads) t.join();
-  for (const auto& r : reqs) {
-    EXPECT_TRUE(r.status.ok());
-    EXPECT_EQ(r.epoch, 42u);
-  }
-  const ReadCoalescer::Stats stats = coalescer.stats();
-  EXPECT_EQ(stats.statements, static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(stats.groups, static_cast<uint64_t>(calls.load()));
-  EXPECT_GE(stats.max_group, 2u);  // 200 ms window: threads overlap
-  EXPECT_LT(stats.groups, static_cast<uint64_t>(kThreads));
+  for (const Status& st : status) EXPECT_TRUE(st.ok()) << st.ToString();
+  std::lock_guard<std::mutex> lock(state.mu);
+  EXPECT_EQ(state.peak, kThreads);
 }
 
-// ---------------------------------------------------------------------------
-// ServingDb: coalesced == uncoalesced == plain Db, and stats accounting.
-
-TEST(ServingDbTest, CoalescedMatchesPlainExecution) {
+TEST(ServingDbTest, ConcurrentQueriesMatchPlainExecution) {
   const std::vector<std::string>& sqls = ServeSqls();
   Db reference = MakePowerDb(20000, 8000);
 
-  ServingOptions options;
-  options.coalesce = true;
-  ServingDb serving(MakePowerDb(20000, 8000), options);
+  ServingDb serving(MakePowerDb(20000, 8000));
 
   std::vector<QueryResult> reference_results(sqls.size());
   for (size_t i = 0; i < sqls.size(); ++i) {
@@ -330,7 +353,7 @@ TEST(ServingDbTest, CoalescedMatchesPlainExecution) {
         }
         if (!equal) {
           std::lock_guard<std::mutex> lock(failures_mu);
-          failures.push_back(sqls[qi] + ": coalesced result differs");
+          failures.push_back(sqls[qi] + ": served result differs");
         }
       }
     });
@@ -341,7 +364,6 @@ TEST(ServingDbTest, CoalescedMatchesPlainExecution) {
 
   const ServingStats stats = serving.Stats();
   EXPECT_EQ(stats.queries, static_cast<uint64_t>(kThreads * kIters));
-  EXPECT_EQ(stats.coalesced_statements, stats.queries);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
   EXPECT_GE(stats.cache_hits, stats.queries - 8 * sqls.size());
   EXPECT_EQ(stats.errors, 0u);
