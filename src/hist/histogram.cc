@@ -14,6 +14,19 @@ size_t HistogramDim::BinIndex(double value) const {
   return t;
 }
 
+void HistogramDim::MidpointBinIndices(const HistogramDim& grid,
+                                      uint32_t* out) const {
+  const double* e = edges.data();
+  const size_t m = edges.size();
+  const size_t last = NumBins() - 1;
+  size_t j = 0;  // upper_bound of the current midpoint: e[0, j) <= mid
+  for (size_t g = 0; g < grid.NumBins(); ++g) {
+    const double mid = (grid.edges[g] + grid.edges[g + 1]) / 2.0;
+    while (j < m && !(mid < e[j])) ++j;
+    out[g] = static_cast<uint32_t>(j == 0 ? 0 : std::min(j - 1, last));
+  }
+}
+
 uint64_t HistogramDim::TotalCount() const {
   uint64_t total = 0;
   for (uint64_t c : counts) total += c;

@@ -69,6 +69,12 @@ struct HistogramDim {
   /// when exactness matters.
   size_t BinIndex(double value) const;
 
+  /// BinIndex of the midpoint (e_g + e_{g+1}) / 2 of every bin g of `grid`,
+  /// into out[0, grid.NumBins()). `grid`'s edges ascend, so its midpoints
+  /// do too, and one forward walk over these edges finds them all:
+  /// O(k + m) for k grid bins and m edges, not O(k log m).
+  void MidpointBinIndices(const HistogramDim& grid, uint32_t* out) const;
+
   /// Total count across bins.
   uint64_t TotalCount() const;
 };

@@ -1,7 +1,9 @@
 #include "query/ast.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace pairwisehist {
 
@@ -56,13 +58,28 @@ void CollectColumns(const PredicateNode& node, std::vector<std::string>* out) {
   for (const auto& child : node.children) CollectColumns(child, out);
 }
 
+bool IsSmallInteger(double v) {
+  // Range first: converting an out-of-range double to an integer is
+  // undefined behaviour.
+  return std::abs(v) < 1e15 && v == static_cast<long long>(v);
+}
+
+// Ten significant digits, or the integer itself. The text reads back as a
+// number that prints the same way, so ToSql is a fixed point of parsing.
 std::string FormatNumber(double v) {
   char buf[64];
-  if (v == static_cast<long long>(v) && std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
+  if (!IsSmallInteger(v)) {
     std::snprintf(buf, sizeof(buf), "%.10g", v);
+    const double back = std::strtod(buf, nullptr);
+    if (std::isfinite(v) && !std::isfinite(back)) {
+      // Ten digits rounded past DBL_MAX: print every digit instead.
+      std::snprintf(buf, sizeof(buf), "%.17g", v);
+      return buf;
+    }
+    if (!IsSmallInteger(back)) return buf;
+    v = back;  // ten digits rounded to an integer: print it as one
   }
+  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
   return buf;
 }
 
@@ -76,7 +93,10 @@ void NodeToSql(const PredicateNode& node, bool parenthesize,
     *out += ' ';
     if (c.is_string) {
       *out += '\'';
-      *out += c.text_value;
+      for (char ch : c.text_value) {
+        if (ch == '\'') *out += '\'';  // doubled, as the parser reads it
+        *out += ch;
+      }
       *out += '\'';
     } else {
       *out += FormatNumber(c.value);

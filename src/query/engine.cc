@@ -1245,12 +1245,8 @@ std::vector<uint32_t> AqpEngine::TransferMap(size_t agg_col, size_t col,
   if (!pair.valid()) return {};
   const HistogramDim& gdim = *grid.dim;
   const HistogramDim& agg_dim = pair.agg_dim();
-  const size_t k = gdim.NumBins();
-  std::vector<uint32_t> map(k);
-  for (size_t g = 0; g < k; ++g) {
-    double mid = (gdim.edges[g] + gdim.edges[g + 1]) / 2.0;
-    map[g] = static_cast<uint32_t>(agg_dim.BinIndex(mid));
-  }
+  std::vector<uint32_t> map(gdim.NumBins());
+  agg_dim.MidpointBinIndices(gdim, map.data());
   return map;
 }
 

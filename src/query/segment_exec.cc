@@ -162,9 +162,10 @@ Status SegmentedExecutor::EnsurePlans(SegmentedPlan::State* st) const {
   // Metadata changed (segments sealed, or a kMutateBins append widened
   // the last segment's ranges): recompute every prune flag, not just the
   // tail, so a previously pruned segment that gained matching rows is
-  // re-admitted.
+  // re-admitted. A lone segment is never skipped (both execution paths
+  // run it directly), so the pass starts once an append adds a second.
   st->skip.assign(nseg, 0);
-  if (options_.prune && st->query.where.has_value()) {
+  if (options_.prune && nseg > 1 && st->query.where.has_value()) {
     for (size_t i = 0; i < nseg; ++i) {
       st->skip[i] =
           MayMatch(*st->query.where, set_->synopsis(i), set_->meta(i))

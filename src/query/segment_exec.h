@@ -52,6 +52,8 @@ class SegmentedPlan {
   /// Segments planned so far (grows lazily after appends).
   size_t PlannedSegments() const;
   /// Segments the planner proved unable to match (of those planned).
+  /// Always 0 for a one-segment set: its only segment always runs, so it
+  /// is never pruned.
   size_t PrunedSegments() const;
   bool valid() const { return state_ != nullptr; }
 

@@ -10,6 +10,15 @@
 //   primary   := '(' or_expr ')' | ident op literal
 //   op        := '<' | '<=' | '>' | '>=' | '=' | '==' | '!=' | '<>'
 //   literal   := number | quoted string
+//   number    := ['+' | '-'] (digits ['.' [digits]] | '.' digits)
+//                [('e' | 'E') ['+' | '-'] digits]
+//                a decimal literal only (no hex, inf or nan), read by
+//                strtod, that must be finite: "1e999" is rejected, "1e-999"
+//                reads as 0
+//   string    := "'" chars "'" | '"' chars '"'  (a doubled quote inside
+//                stands for one)
+// Identifiers are [A-Za-z_][A-Za-z0-9_.]*. Parentheses nest at most 256
+// deep.
 #ifndef PAIRWISEHIST_QUERY_SQL_PARSER_H_
 #define PAIRWISEHIST_QUERY_SQL_PARSER_H_
 

@@ -1,5 +1,6 @@
 #include "serve/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -282,9 +283,11 @@ void AppendJsonNumber(std::string* out, double v) {
     *out += "null";
     return;
   }
+  // Same text as printf's "%.17g", without the format-string parse.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
 }
 
 void AppendQueryResult(std::string* out, const QueryResult& result) {

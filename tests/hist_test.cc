@@ -1,6 +1,8 @@
 // Tests for the histogram core: uniformity testing and recursive
 // refinement in one and two dimensions.
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -326,6 +328,67 @@ TEST(Refine2DTest, EmptyInputProducesEmptyCells) {
                                         TestConfig(100), cache);
   EXPECT_EQ(ph.cells.size(), 1u);
   EXPECT_EQ(ph.cells[0], 0u);
+}
+
+// ---------------------------------------------------------------------------
+// MidpointBinIndices: one forward walk equals BinIndex of every midpoint.
+
+HistogramDim DimWithEdges(std::vector<double> edges) {
+  HistogramDim dim;
+  dim.counts = std::vector<uint64_t>(edges.size() - 1, 1);
+  dim.edges = std::move(edges);
+  return dim;
+}
+
+void ExpectWalkMatchesBinIndex(const HistogramDim& agg,
+                               const HistogramDim& grid) {
+  std::vector<uint32_t> walked(grid.NumBins(), 0xdeadbeef);
+  agg.MidpointBinIndices(grid, walked.data());
+  for (size_t g = 0; g < grid.NumBins(); ++g) {
+    const double mid = (grid.edges[g] + grid.edges[g + 1]) / 2.0;
+    ASSERT_EQ(walked[g], agg.BinIndex(mid))
+        << "grid bin " << g << " midpoint " << mid;
+  }
+}
+
+TEST(MidpointBinIndicesTest, MatchesBinIndexOnRandomDims) {
+  Rng rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    auto random_edges = [&](size_t bins, bool integers) {
+      std::vector<double> e(bins + 1);
+      for (double& x : e) {
+        x = rng.Uniform(-50, 150);
+        if (integers) x = std::floor(x);  // integer edges repeat often
+      }
+      std::sort(e.begin(), e.end());
+      return e;
+    };
+    const size_t agg_bins = 1 + rng.UniformInt(40);
+    const size_t grid_bins = 1 + rng.UniformInt(80);
+    ExpectWalkMatchesBinIndex(
+        DimWithEdges(random_edges(agg_bins, trial % 2 == 0)),
+        DimWithEdges(random_edges(grid_bins, trial % 3 == 0)));
+  }
+}
+
+TEST(MidpointBinIndicesTest, EdgeCases) {
+  const HistogramDim agg = DimWithEdges({0, 10, 20, 30});
+  // Midpoints 5, 10, 20, 30 and 40: inside, exactly on inner edges, on the
+  // last edge and beyond it.
+  ExpectWalkMatchesBinIndex(agg, DimWithEdges({0, 10, 10, 30, 30, 50}));
+  // Every midpoint below the first edge.
+  ExpectWalkMatchesBinIndex(agg, DimWithEdges({-30, -20, -10, -5}));
+  // Every midpoint above the last edge.
+  ExpectWalkMatchesBinIndex(agg, DimWithEdges({100, 200, 300}));
+  // One grid bin; one aggregation bin.
+  ExpectWalkMatchesBinIndex(agg, DimWithEdges({12, 18}));
+  ExpectWalkMatchesBinIndex(DimWithEdges({0, 10}),
+                            DimWithEdges({-10, 0, 5, 10, 20}));
+  // Repeated edges on both sides.
+  ExpectWalkMatchesBinIndex(DimWithEdges({0, 5, 5, 5, 10, 10, 20}),
+                            DimWithEdges({0, 5, 5, 5, 10, 10, 10, 15, 30}));
+  // Grid equal to the aggregation dim.
+  ExpectWalkMatchesBinIndex(agg, agg);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for the query layer: SQL parsing, interval sets, coverage with
 // Theorem-2 bounds, and the exact engine.
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -117,14 +119,116 @@ TEST(SqlParserTest, ErrorsArePositioned) {
   EXPECT_FALSE(ParseSql("SELECT COUNT(x) FROM t extra;").ok());
 }
 
+// ToSql parses back to a query with the same ToSql, quoted strings and
+// extreme magnitudes included.
 TEST(SqlParserTest, ToSqlRoundTrip) {
-  const char* sql =
-      "SELECT AVG(delay) FROM f WHERE (a > 1 AND b <= 2) OR c != 'x';";
-  auto q = ParseSql(sql);
-  ASSERT_TRUE(q.ok());
-  auto q2 = ParseSql(q->ToSql());
-  ASSERT_TRUE(q2.ok()) << q->ToSql();
-  EXPECT_EQ(q2->ToSql(), q->ToSql());
+  const char* kSqls[] = {
+      "SELECT AVG(delay) FROM f WHERE (a > 1 AND b <= 2) OR c != 'x';",
+      "SELECT COUNT(x) FROM t WHERE c = 'O''Hare';",
+      "SELECT COUNT(x) FROM t WHERE c = \"it's\" OR c = '\"q\"';",
+      "SELECT COUNT(x) FROM t WHERE a > 12345678901.5;",
+      "SELECT COUNT(x) FROM t WHERE a > 1.7976931348623157e308;",
+      "SELECT COUNT(x) FROM t WHERE a > -1.7976931348623157e308;",
+      "SELECT COUNT(x) FROM t WHERE a > 4.9e-324 AND a < 999999999999999.9;",
+      "SELECT COUNT(x) FROM t WHERE a < 0.1 OR a = -0;",
+  };
+  for (const char* sql : kSqls) {
+    auto q = ParseSql(sql);
+    ASSERT_TRUE(q.ok()) << sql << ": " << q.status().ToString();
+    auto q2 = ParseSql(q->ToSql());
+    ASSERT_TRUE(q2.ok()) << q->ToSql() << ": " << q2.status().ToString();
+    EXPECT_EQ(q2->ToSql(), q->ToSql()) << sql;
+  }
+  auto quoted = ParseSql(kSqls[1]);
+  EXPECT_EQ(quoted->ToSql(),
+            "SELECT COUNT(x) FROM t WHERE c = 'O''Hare';");
+  auto exact =
+      ParseSql("SELECT COUNT(x) FROM t WHERE a > 1.7976931348623157e308;");
+  EXPECT_EQ(ParseSql(exact->ToSql())->where->condition.value,
+            exact->where->condition.value);
+}
+
+// Error messages keep their text and byte offset.
+TEST(SqlParserTest, ErrorMessagesNameTheOffset) {
+  struct Case {
+    const char* sql;
+    const char* message;
+  };
+  const Case kCases[] = {
+      {"SELECT COUNT(x) t;", "SQL: expected FROM at offset 16"},
+      {"select count(x) from t where ;",
+       "SQL: expected predicate column or '(' at offset 29"},
+      {"SELECT COUNT(x) FROM t WHERE a >;",
+       "SQL: expected literal at offset 32"},
+      {"SELECT COUNT(x) FROM t WHERE a ~ 1;",
+       "SQL: unknown operator '~' at offset 33"},
+      {"SELECT COUNT(x) FROM t WHERE a > 'open",
+       "SQL: unterminated string at offset 33"},
+      {"SELECT frob(x) FROM t;", "SQL: unknown aggregation 'FROB'"},
+      {"SELECT MIN(*) FROM t;", "SQL: '*' argument is only valid for COUNT"},
+      {"SELECT COUNT(x FROM t;", "SQL: expected ')' at offset 15"},
+      {"SELECT COUNT(x) FROM t GROUP x;", "SQL: expected BY at offset 29"},
+      {"SELECT COUNT(x) FROM t extra;",
+       "SQL: unexpected trailing input at offset 23"},
+  };
+  for (const Case& c : kCases) {
+    auto q = ParseSql(c.sql);
+    ASSERT_FALSE(q.ok()) << c.sql;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << c.sql;
+    EXPECT_EQ(q.status().message(), c.message) << c.sql;
+  }
+}
+
+// Only finite decimal literals are numbers: strtod's hex, inf and nan
+// forms and literals that overflow a double are refused, with the offset
+// of the literal.
+TEST(SqlParserTest, RejectsNumericLiteralsThatAreNotFiniteDecimals) {
+  const std::string prefix = "SELECT AVG(voltage) FROM power WHERE voltage ";
+  const char* kRejected[] = {"> +nan", "> nan",  "< 1e999", "> -1e999",
+                             "> 0x1p8", "> 0X10", "> -inf", "> +inf",
+                             "> inf",  "> -infinity", "> -nan(1)"};
+  for (const char* tail : kRejected) {
+    const std::string sql = prefix + tail + ";";
+    auto q = ParseSql(sql);
+    ASSERT_FALSE(q.ok()) << sql << " parsed as " << q->ToSql();
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(q.status().message().find("at offset"), std::string::npos)
+        << q.status().message();
+  }
+  auto big = ParseSql(prefix + "< 1e999;");
+  EXPECT_EQ(big.status().message(),
+            "SQL: numeric literal out of range at offset 47");
+
+  // Decimal forms still parse to strtod's double.
+  const char* kAccepted[] = {"1", "-12.5", "+.5", "7.", "1e5", "2.5E-3",
+                             "-0", "1e-999", "00012", "1e308"};
+  for (const char* lit : kAccepted) {
+    auto q = ParseSql(prefix + "> " + lit + ";");
+    ASSERT_TRUE(q.ok()) << lit << ": " << q.status().ToString();
+    EXPECT_EQ(q->where->condition.value, std::strtod(lit, nullptr)) << lit;
+  }
+  // A literal ends where the decimal rule ends; what follows is the next
+  // token.
+  auto and_q = ParseSql(prefix + "> 1AND voltage < 2e1AND voltage < 3;");
+  ASSERT_TRUE(and_q.ok()) << and_q.status().ToString();
+  EXPECT_EQ(and_q->where->children.size(), 3u);
+  EXPECT_EQ(and_q->where->children[1].condition.value, 20.0);
+}
+
+// Parentheses nest at most 256 deep, so a hostile statement cannot exhaust
+// the stack.
+TEST(SqlParserTest, BoundsParenthesisNesting) {
+  auto nested = [](size_t depth) {
+    return "SELECT COUNT(*) FROM t WHERE " + std::string(depth, '(') +
+           "a > 1" + std::string(depth, ')') + ";";
+  };
+  EXPECT_TRUE(ParseSql(nested(256)).ok());
+  auto deep = ParseSql(nested(257));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(deep.status().message().find("nested too deeply"),
+            std::string::npos);
+  EXPECT_FALSE(ParseSql(nested(1000000)).ok());
 }
 
 TEST(SqlParserTest, QueryHelpers) {

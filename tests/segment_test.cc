@@ -750,6 +750,60 @@ TEST(SegmentPruning, MutateBinsAppendReAdmitsPrunedSegments) {
   EXPECT_DOUBLE_EQ(after->Scalar().estimate, fresh->Scalar().estimate);
 }
 
+// A one-segment set runs its only segment whatever the planner would say,
+// so it is never pruned, and answers as an unpruned set does. Once an
+// append seals a second segment, the prune pass runs for the same plan.
+TEST(SegmentPruning, OneSegmentPlanIsNeverPruned) {
+  auto make = [](size_t begin, size_t end) {
+    Table t("ev");
+    Column id("id", DataType::kInt64, 0);
+    for (size_t r = begin; r < end; ++r) id.Append(static_cast<double>(r));
+    t.AddColumn(std::move(id));
+    return t;
+  };
+  DbOptions pruned;
+  pruned.synopsis.sample_size = 0;
+  DbOptions unpruned = pruned;
+  unpruned.prune_segments = false;
+  auto db_p = Db::FromTable(make(0, 4000), pruned);
+  auto db_u = Db::FromTable(make(0, 4000), unpruned);
+  ASSERT_TRUE(db_p.ok() && db_u.ok());
+  ASSERT_EQ(db_p->num_segments(), 1u);
+
+  const char* kSqls[] = {
+      "SELECT COUNT(id) FROM ev WHERE id > 100000;",  // provably no match
+      "SELECT AVG(id) FROM ev WHERE id >= 1000 AND id < 2000;",
+      "SELECT MAX(id) FROM ev WHERE id < -5 OR id > 3500;",
+  };
+  std::vector<PreparedQuery> plans;
+  for (const char* sql : kSqls) {
+    auto pp = db_p->Prepare(sql);
+    auto pu = db_u->Prepare(sql);
+    ASSERT_TRUE(pp.ok() && pu.ok()) << sql;
+    EXPECT_EQ(pp->plan().PrunedSegments(), 0u) << sql;
+    auto a = pp->Execute();
+    auto b = pu->Execute();
+    ASSERT_TRUE(a.ok() && b.ok()) << sql;
+    ASSERT_EQ(a->groups.size(), b->groups.size()) << sql;
+    for (size_t g = 0; g < a->groups.size(); ++g) {
+      const AggResult& x = a->groups[g].agg;
+      const AggResult& y = b->groups[g].agg;
+      EXPECT_EQ(x.empty_selection, y.empty_selection) << sql;
+      EXPECT_TRUE(SameDouble(x.estimate, y.estimate)) << sql;
+      EXPECT_TRUE(SameDouble(x.lower, y.lower)) << sql;
+      EXPECT_TRUE(SameDouble(x.upper, y.upper)) << sql;
+    }
+    plans.push_back(std::move(pp).value());
+  }
+
+  ASSERT_TRUE(db_p->Append(make(4000, 6000)).ok());
+  ASSERT_EQ(db_p->num_segments(), 2u);
+  ASSERT_TRUE(plans[0].Execute().ok());
+  EXPECT_EQ(plans[0].plan().PrunedSegments(), 2u);
+  ASSERT_TRUE(plans[1].Execute().ok());
+  EXPECT_EQ(plans[1].plan().PrunedSegments(), 1u);  // ids 4000+ cannot match
+}
+
 // ---------------------------------------------------------------------------
 // MergePartials unit semantics.
 

@@ -9,8 +9,12 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -111,6 +115,46 @@ TEST(ServeJson, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("\"unterminated").ok());
   EXPECT_FALSE(ParseJson("{} trailing").ok());
   EXPECT_FALSE(ParseJson("nul").ok());
+}
+
+// AppendJsonNumber prints exactly what printf's "%.17g" prints.
+TEST(ServeJson, NumbersMatchPrintf17g) {
+  auto printf17g = [](double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                -1.0,
+                                0.1,
+                                1e16,
+                                123456789012345678.0,
+                                9007199254740993.0,
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                2.2250738585072009e-308,  // largest denormal
+                                1e-5,
+                                123456.0,
+                                1e17,
+                                -42.0};
+  std::mt19937_64 rng(5);
+  while (values.size() < 200000) {
+    const uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (int i = -1000; i <= 1000; ++i) values.push_back(i);
+  for (double v : values) {
+    std::string out;
+    AppendJsonNumber(&out, v);
+    ASSERT_EQ(out, printf17g(v)) << std::hexfloat << v;
+  }
 }
 
 TEST(ServeJson, FormatsNumbersAndStrings) {
@@ -645,6 +689,26 @@ TEST_F(HttpRoundTrip, BatchAppendStatsAndErrors) {
   auto wrong_method = client_.Request("GET", "/query");
   ASSERT_TRUE(wrong_method.ok());
   EXPECT_EQ(wrong_method->status, 405);
+}
+
+// Numeric literals that are not finite decimals (strtod's nan, inf and hex
+// forms, overflowing exponents) and over-deep nesting are bad requests.
+TEST_F(HttpRoundTrip, MalformedLiteralsAreBadRequests) {
+  const std::string prefix = "SELECT AVG(voltage) FROM power WHERE voltage ";
+  const std::string kBad[] = {
+      prefix + "> +nan;", prefix + "< 1e999;", prefix + "> 0x1p8;",
+      prefix + "> -inf;",
+      "SELECT COUNT(*) FROM power WHERE " + std::string(5000, '(') +
+          "hour > 1" + std::string(5000, ')') + ";"};
+  for (const std::string& sql : kBad) {
+    std::string body = "{\"sql\":";
+    AppendJsonString(&body, sql);
+    body += "}";
+    auto resp = client_.Request("POST", "/query", body);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->status, 400) << sql.substr(0, 80) << ": " << resp->body;
+    EXPECT_NE(resp->body.find("at offset"), std::string::npos) << resp->body;
+  }
 }
 
 TEST_F(HttpRoundTrip, ConcurrentClientsWithConcurrentAppends) {
