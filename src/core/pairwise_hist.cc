@@ -1,7 +1,13 @@
 #include "core/pairwise_hist.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
+#include <new>
+#include <optional>
+#include <span>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -69,9 +75,6 @@ CentreBounds PairwiseHist::WeightedCentreBounds(const HistogramDim& dim,
   return b;
 }
 
-namespace {
-
-// Deterministically samples `ns` of `n` row indices (sorted).
 std::vector<uint32_t> SampleRows(size_t n, size_t ns, uint64_t seed) {
   std::vector<uint32_t> rows;
   if (ns >= n) {
@@ -90,6 +93,8 @@ std::vector<uint32_t> SampleRows(size_t n, size_t ns, uint64_t seed) {
   std::sort(all.begin(), all.end());
   return all;
 }
+
+namespace {
 
 // Initial 1-d bin edges for one column: either GreedyGD base-aligned edges
 // (downsampled to at most `max_edges` interior values) or just {min, max+1}.
@@ -140,6 +145,59 @@ std::vector<double> NonNullFractions(const HistogramDim& pair_dim,
   }
   return frac;
 }
+
+// Anonymous pages holding one build's sample index, unmapped when the
+// build ends. A heap block of the same size would go back to the OS only
+// above the allocator's mmap threshold, which glibc raises as large blocks
+// are freed; below it, an index freed on a segment-build worker thread
+// stays resident in that thread's arena after Build returns.
+class IndexPages {
+ public:
+  explicit IndexPages(size_t bytes)
+      : bytes_(bytes),
+        base_(::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)) {
+    if (base_ == MAP_FAILED) throw std::bad_alloc();
+  }
+  ~IndexPages() { ::munmap(base_, bytes_); }
+  IndexPages(const IndexPages&) = delete;
+  IndexPages& operator=(const IndexPages&) = delete;
+
+  void* data() const { return base_; }
+
+ private:
+  size_t bytes_;
+  void* base_;
+};
+
+// The per-column sample index every pair build reads (see ColumnView): for
+// each column, Ns values, Ns 1-d bins and up to Ns sorted positions, all
+// in one allocation (16 bytes per column per sampled row).
+struct SampleIndex {
+  static constexpr size_t kBytesPerEntry =
+      sizeof(double) + 2 * sizeof(uint32_t);
+
+  SampleIndex(size_t d, size_t ns)
+      : ns(ns),
+        pages(d * ns * kBytesPerEntry),
+        values(static_cast<double*>(pages.data())),
+        bins(reinterpret_cast<uint32_t*>(values + d * ns)),
+        order(bins + d * ns),
+        nonnull(d) {}
+
+  ColumnView View(size_t c) const {
+    return {std::span<const uint32_t>(order + c * ns, nonnull[c]),
+            std::span<const double>(values + c * ns, ns),
+            std::span<const uint32_t>(bins + c * ns, ns)};
+  }
+
+  size_t ns;
+  IndexPages pages;
+  double* values;   // column c's slice starts at c * ns
+  uint32_t* bins;   // likewise
+  uint32_t* order;  // likewise; its first nonnull[c] entries are used
+  std::vector<size_t> nonnull;
+};
 
 }  // namespace
 
@@ -198,45 +256,68 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
   refine.min_points = out.min_points_;
   refine.alpha = config.alpha;
 
-  std::vector<uint32_t> rows = SampleRows(n, ns, config.seed);
-
-  // ---- 1-d histograms ----------------------------------------------------
-  // Per column: sorted non-null sampled codes.
-  std::vector<std::vector<double>> col_values(d);
+  // ---- Per-column index and 1-d histograms ------------------------------
+  // One pass per column (columns in parallel, each writing its own slice
+  // and hist1d_ slot): the sampled codes as doubles, their stable sort by
+  // value (which also feeds the 1-d build), and the 1-d bin of every value
+  // from one forward walk over the sorted values.
+  std::optional<SampleIndex> index(std::in_place, d, ns);
   out.hist1d_.resize(d);
-  const size_t max_edges = static_cast<size_t>(
-      std::ceil(static_cast<double>(ns) / out.min_points_));
-  for (size_t c = 0; c < d; ++c) {
-    auto& vals = col_values[c];
-    vals.reserve(rows.size());
-    for (uint32_t r : rows) {
-      uint64_t code = pre.codes[c][r];
-      if (code != kMissingCode) vals.push_back(static_cast<double>(code));
-    }
-    std::sort(vals.begin(), vals.end());
-    if (vals.empty()) {
-      // All-null column: degenerate single empty bin.
-      out.hist1d_[c] = BuildHistogram1D({}, {1.0, 2.0}, refine,
-                                        *out.critical_);
-      continue;
-    }
-    std::vector<uint64_t> bases;
-    const std::vector<uint64_t>* bases_ptr = nullptr;
-    if (gd != nullptr && config.use_bases_for_edges) {
-      bases = gd->ColumnBaseValues(c);
-      bases_ptr = &bases;
-    }
-    std::vector<double> edges =
-        InitialEdges(bases_ptr, max_edges, vals.front(), vals.back());
-    out.hist1d_[c] =
-        BuildHistogram1D(vals, edges, refine, *out.critical_);
+  {
+    const std::vector<uint32_t> rows = SampleRows(n, ns, config.seed);
+    const size_t max_edges = static_cast<size_t>(
+        std::ceil(static_cast<double>(ns) / out.min_points_));
+    ParallelFor(d, config.build_threads, [&](size_t c) {
+      double* values = index->values + c * ns;
+      uint32_t* bins = index->bins + c * ns;
+      uint32_t* order = index->order + c * ns;
+      // (code, position) pairs: sorting them is a stable sort by value.
+      std::vector<std::pair<uint64_t, uint32_t>> keyed;
+      keyed.reserve(ns);
+      const uint64_t* codes = pre.codes[c].data();
+      for (size_t p = 0; p < ns; ++p) {
+        const uint64_t code = codes[rows[p]];
+        values[p] = static_cast<double>(code);
+        bins[p] = kNullBin;
+        if (code != kMissingCode) {
+          keyed.emplace_back(code, static_cast<uint32_t>(p));
+        }
+      }
+      std::sort(keyed.begin(), keyed.end());
+      index->nonnull[c] = keyed.size();
+      if (keyed.empty()) {
+        // All-null column: degenerate single empty bin.
+        out.hist1d_[c] =
+            BuildHistogram1D({}, {1.0, 2.0}, refine, *out.critical_);
+        return;
+      }
+      std::vector<double> sorted(keyed.size());
+      for (size_t k = 0; k < keyed.size(); ++k) {
+        sorted[k] = static_cast<double>(keyed[k].first);
+        order[k] = keyed[k].second;
+      }
+      std::vector<uint64_t> bases;
+      const std::vector<uint64_t>* bases_ptr = nullptr;
+      if (gd != nullptr && config.use_bases_for_edges) {
+        bases = gd->ColumnBaseValues(c);
+        bases_ptr = &bases;
+      }
+      std::vector<double> edges =
+          InitialEdges(bases_ptr, max_edges, sorted.front(), sorted.back());
+      out.hist1d_[c] =
+          BuildHistogram1D(sorted, edges, refine, *out.critical_);
+      BinWalker walk(out.hist1d_[c].edges);
+      for (size_t k = 0; k < sorted.size(); ++k) {
+        bins[order[k]] = static_cast<uint32_t>(walk.Next(sorted[k]));
+      }
+    });
   }
 
   // ---- 2-d histograms ----------------------------------------------------
-  // The d(d-1)/2 pair builds are independent and individually deterministic,
-  // so they fan out over the shared work-counter pool, each writing its
-  // fixed PairSlot — the result is identical for any thread count or
-  // scheduling.
+  // The d(d-1)/2 pair builds are independent and individually deterministic
+  // readers of the shared index, so they fan out over the same pool, each
+  // writing its fixed PairSlot — the result is identical for any thread
+  // count or scheduling.
   if (d > 1) {
     const size_t npairs = d * (d - 1) / 2;
     out.pairs_.resize(npairs);
@@ -251,24 +332,12 @@ StatusOr<PairwiseHist> PairwiseHist::Build(const PreprocessedTable& pre,
     ParallelFor(work.size(), config.build_threads, [&](size_t w) {
       const uint32_t i = work[w].first;
       const uint32_t j = work[w].second;
-      // One exact-size gather allocation per pair, released when the pair
-      // finishes — negligible next to the histogram build itself, and
-      // nothing is retained after Build returns.
-      std::vector<double> xi, xj;
-      xi.reserve(rows.size());
-      xj.reserve(rows.size());
-      for (uint32_t r : rows) {
-        uint64_t ci = pre.codes[i][r];
-        uint64_t cj = pre.codes[j][r];
-        if (ci == kMissingCode || cj == kMissingCode) continue;
-        xi.push_back(static_cast<double>(ci));
-        xj.push_back(static_cast<double>(cj));
-      }
       out.pairs_[PairSlot(i, j)] = BuildPairHistogram(
-          xi, xj, i, j, out.hist1d_[i], out.hist1d_[j], refine,
-          *out.critical_);
+          index->View(i), index->View(j), i, j, out.hist1d_[i],
+          out.hist1d_[j], refine, *out.critical_);
     });
   }
+  index.reset();  // freed before the execution index is built
   out.FinishExecIndex();
   return out;
 }

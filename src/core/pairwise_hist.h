@@ -38,13 +38,20 @@ struct PairwiseHistConfig {
   /// Seed initial 1-d edges with GreedyGD bases when a compressed table is
   /// supplied (the paper's compression↔AQP integration).
   bool use_bases_for_edges = true;
-  /// Threads for pairwise (2-d) histogram construction: the d(d-1)/2
-  /// BuildPairHistogram calls are independent and deterministic, so they
-  /// run on a small pool with results written to fixed slots. 0 = one per
+  /// Threads for construction, used by both of its parallel phases: the
+  /// per-column pass (sort the column's sample, build its 1-d histogram,
+  /// record each value's 1-d bin) fans out over the d columns, then the
+  /// d(d-1)/2 BuildPairHistogram calls fan out over the pairs, reading the
+  /// column index read-only. Every task writes a fixed slot. 0 = one per
   /// hardware core, 1 = serial. Construction output is identical for any
   /// value.
   unsigned build_threads = 0;
 };
+
+/// The construction sample PairwiseHist::Build draws: `ns` of `n` row
+/// indices, ascending, chosen deterministically by `seed` (every row when
+/// ns >= n).
+std::vector<uint32_t> SampleRows(size_t n, size_t ns, uint64_t seed);
 
 /// Lower/upper bounds of a bin's weighted centre (Theorem 1 / Eq. 10).
 struct CentreBounds {

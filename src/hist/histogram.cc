@@ -16,14 +16,10 @@ size_t HistogramDim::BinIndex(double value) const {
 
 void HistogramDim::MidpointBinIndices(const HistogramDim& grid,
                                       uint32_t* out) const {
-  const double* e = edges.data();
-  const size_t m = edges.size();
-  const size_t last = NumBins() - 1;
-  size_t j = 0;  // upper_bound of the current midpoint: e[0, j) <= mid
+  BinWalker walk(edges);
   for (size_t g = 0; g < grid.NumBins(); ++g) {
-    const double mid = (grid.edges[g] + grid.edges[g + 1]) / 2.0;
-    while (j < m && !(mid < e[j])) ++j;
-    out[g] = static_cast<uint32_t>(j == 0 ? 0 : std::min(j - 1, last));
+    out[g] = static_cast<uint32_t>(
+        walk.Next((grid.edges[g] + grid.edges[g + 1]) / 2.0));
   }
 }
 
@@ -171,47 +167,64 @@ HistogramDim BuildHistogram1D(const std::vector<double>& sorted_values,
 
 namespace {
 
-// A point set inside one rectangle during 2-d refinement. Holds indices into
-// the caller's xi/xj arrays.
-struct RectPoints {
-  std::vector<uint32_t> rows;
+// One over-full cell's points during 2-d refinement, held twice: sorted by
+// xi (with each point's xj alongside) and sorted by xj (with its xi).
+// Every uniformity test reads a dimension's sorted values straight off its
+// list, so refinement never sorts.
+struct SortedPoints {
+  double* by_i;     // xi ascending
+  double* by_i_xj;  // xj of the same points
+  double* by_j;     // xj ascending
+  double* by_j_xi;  // xi of the same points
+  size_t n;
+
+  SortedPoints Sub(size_t begin, size_t count) const {
+    return {by_i + begin, by_i_xj + begin, by_j + begin, by_j_xi + begin,
+            count};
+  }
 };
 
-// Collects the sorted values of one dimension for the given rows.
-void SortedDimValues(const std::vector<double>& coords,
-                     const std::vector<uint32_t>& rows,
-                     std::vector<double>* scratch) {
-  scratch->clear();
-  scratch->reserve(rows.size());
-  for (uint32_t r : rows) scratch->push_back(coords[r]);
-  std::sort(scratch->begin(), scratch->end());
+// Moves the entries of the parallel arrays (sorted, other) with other < z
+// to the front, keeping both sides in their existing order (so `sorted`
+// stays sorted on each side). `scratch` holds 2n doubles.
+void StablePartitionBelow(double* sorted, double* other, size_t n, double z,
+                          double* scratch) {
+  double* right_sorted = scratch;
+  double* right_other = scratch + n;
+  size_t left = 0, right = 0;
+  for (size_t k = 0; k < n; ++k) {
+    if (other[k] < z) {
+      sorted[left] = sorted[k];
+      other[left] = other[k];
+      ++left;
+    } else {
+      right_sorted[right] = sorted[k];
+      right_other[right] = other[k];
+      ++right;
+    }
+  }
+  std::copy(right_sorted, right_sorted + right, sorted + left);
+  std::copy(right_other, right_other + right, other + left);
 }
 
 // RefineBin2D: recursively split the rectangle until both dimensions test
 // uniform or the point count / width floor stops us. New interior edges are
 // appended to `new_edges_i` / `new_edges_j` (they apply to the whole row or
 // column of this pair's histogram, matching the paper's Fig. 5).
-void RefineBin2D(const std::vector<double>& xi, const std::vector<double>& xj,
-                 std::vector<uint32_t> rows, double lo_i, double hi_i,
-                 double lo_j, double hi_j, int depth,
-                 const RefineConfig& config, const Chi2CriticalCache& critical,
+void RefineBin2D(SortedPoints pts, double lo_i, double hi_i, double lo_j,
+                 double hi_j, int depth, const RefineConfig& config,
+                 const Chi2CriticalCache& critical,
                  std::vector<double>* new_edges_i,
-                 std::vector<double>* new_edges_j,
-                 std::vector<double>* scratch) {
-  if (rows.size() <= config.min_points || depth >= config.max_depth) return;
+                 std::vector<double>* new_edges_j, double* scratch) {
+  const size_t n = pts.n;
+  if (n <= config.min_points || depth >= config.max_depth) return;
 
-  SortedDimValues(xi, rows, scratch);
-  uint64_t ui = CountUniqueSorted(scratch->data(),
-                                  scratch->data() + scratch->size());
-  UniformityResult ti = TestUniform(scratch->data(),
-                                    scratch->data() + scratch->size(), lo_i,
-                                    hi_i, ui, critical);
-  SortedDimValues(xj, rows, scratch);
-  uint64_t uj = CountUniqueSorted(scratch->data(),
-                                  scratch->data() + scratch->size());
-  UniformityResult tj = TestUniform(scratch->data(),
-                                    scratch->data() + scratch->size(), lo_j,
-                                    hi_j, uj, critical);
+  uint64_t ui = CountUniqueSorted(pts.by_i, pts.by_i + n);
+  UniformityResult ti =
+      TestUniform(pts.by_i, pts.by_i + n, lo_i, hi_i, ui, critical);
+  uint64_t uj = CountUniqueSorted(pts.by_j, pts.by_j + n);
+  UniformityResult tj =
+      TestUniform(pts.by_j, pts.by_j + n, lo_j, hi_j, uj, critical);
 
   bool can_split_i = !ti.uniform && ui > 1 && (hi_i - lo_i) > config.min_width;
   bool can_split_j = !tj.uniform && uj > 1 && (hi_j - lo_j) > config.min_width;
@@ -220,79 +233,83 @@ void RefineBin2D(const std::vector<double>& xi, const std::vector<double>& xj,
   // Split the least uniform dimension (largest statistic/critical ratio).
   bool split_i = can_split_i && (!can_split_j || ti.Ratio() >= tj.Ratio());
 
-  const std::vector<double>& coords = split_i ? xi : xj;
   double z = split_i ? SplitPoint(lo_i, hi_i) : SplitPoint(lo_j, hi_j);
   (split_i ? new_edges_i : new_edges_j)->push_back(z);
 
-  std::vector<uint32_t> left, right;
-  left.reserve(rows.size() / 2);
-  right.reserve(rows.size() / 2);
-  for (uint32_t r : rows) {
-    (coords[r] < z ? left : right).push_back(r);
-  }
-  rows.clear();
-  rows.shrink_to_fit();
+  // The list sorted on the split dimension already splits at z; the other
+  // list is partitioned stably into the same two point sets.
+  size_t left;
   if (split_i) {
-    RefineBin2D(xi, xj, std::move(left), lo_i, z, lo_j, hi_j, depth + 1,
-                config, critical, new_edges_i, new_edges_j, scratch);
-    RefineBin2D(xi, xj, std::move(right), z, hi_i, lo_j, hi_j, depth + 1,
-                config, critical, new_edges_i, new_edges_j, scratch);
+    left = std::lower_bound(pts.by_i, pts.by_i + n, z) - pts.by_i;
+    StablePartitionBelow(pts.by_j, pts.by_j_xi, n, z, scratch);
   } else {
-    RefineBin2D(xi, xj, std::move(left), lo_i, hi_i, lo_j, z, depth + 1,
-                config, critical, new_edges_i, new_edges_j, scratch);
-    RefineBin2D(xi, xj, std::move(right), lo_i, hi_i, z, hi_j, depth + 1,
-                config, critical, new_edges_i, new_edges_j, scratch);
+    left = std::lower_bound(pts.by_j, pts.by_j + n, z) - pts.by_j;
+    StablePartitionBelow(pts.by_i, pts.by_i_xj, n, z, scratch);
+  }
+  const SortedPoints lower = pts.Sub(0, left);
+  const SortedPoints upper = pts.Sub(left, n - left);
+  if (split_i) {
+    RefineBin2D(lower, lo_i, z, lo_j, hi_j, depth + 1, config, critical,
+                new_edges_i, new_edges_j, scratch);
+    RefineBin2D(upper, z, hi_i, lo_j, hi_j, depth + 1, config, critical,
+                new_edges_i, new_edges_j, scratch);
+  } else {
+    RefineBin2D(lower, lo_i, hi_i, lo_j, z, depth + 1, config, critical,
+                new_edges_i, new_edges_j, scratch);
+    RefineBin2D(upper, lo_i, hi_i, z, hi_j, depth + 1, config, critical,
+                new_edges_i, new_edges_j, scratch);
   }
 }
 
-// Builds per-dimension metadata (counts, v±, unique, parent) for refined
-// edges over the paired values.
-HistogramDim BuildDimMetadata(const std::vector<double>& values,
+// Builds per-dimension metadata (counts, v±, unique, parent) for the
+// refined edges of `self` over the pair's rows (those where `other` is
+// non-null too), in one walk over self's sorted order. Records each such
+// row's refined bin in refined_bin[p].
+HistogramDim BuildDimMetadata(const ColumnView& self, const ColumnView& other,
                               std::vector<double> refined_edges,
-                              const HistogramDim& h1) {
+                              const HistogramDim& h1,
+                              uint32_t* refined_bin) {
+  const size_t k = refined_edges.size() - 1;
+  std::vector<uint64_t> counts(k, 0), unique(k, 0);
+  std::vector<double> v_min(k), v_max(k);
+  std::vector<uint32_t> parent(k);
+  // Parent 1-d bin: the one containing this refined bin's lower edge
+  // (refined edges are a superset of the 1-d edges).
+  BinWalker parent_walk(h1.edges);
+  for (size_t t = 0; t < k; ++t) {
+    parent[t] = static_cast<uint32_t>(parent_walk.Next(refined_edges[t]));
+    // Empty-bin defaults mirror RefineBin1D's convention.
+    v_min[t] = refined_edges[t];
+    v_max[t] = refined_edges[t + 1];
+  }
+  BinWalker bin_walk(refined_edges);
+  for (uint32_t p : self.order) {
+    if (other.bins[p] == kNullBin) continue;
+    const double v = self.values[p];
+    const size_t t = bin_walk.Next(v);
+    if (counts[t] == 0) {
+      v_min[t] = v;
+      unique[t] = 1;
+    } else if (v != v_max[t]) {
+      ++unique[t];
+    }
+    v_max[t] = v;
+    ++counts[t];
+    refined_bin[p] = static_cast<uint32_t>(t);
+  }
   HistogramDim dim;
   dim.edges = std::move(refined_edges);
-  size_t k = dim.edges.size() - 1;
-  dim.counts.assign(k, 0);
-  dim.v_min.assign(k, 0);
-  dim.v_max.assign(k, 0);
-  dim.unique.assign(k, 0);
-  dim.parent.resize(k);
-  for (size_t t = 0; t < k; ++t) {
-    // Parent 1-d bin: the one containing this refined bin's lower edge
-    // (refined edges are a superset of the 1-d edges).
-    dim.parent[t] = static_cast<uint32_t>(h1.BinIndex(dim.edges[t]));
-    // Empty-bin defaults mirror RefineBin1D's convention.
-    dim.v_min[t] = dim.edges[t];
-    dim.v_max[t] = dim.edges[t + 1];
-  }
-  // Sort a copy of the values once; walk bins over it.
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  size_t cursor = 0;
-  for (size_t t = 0; t < k && cursor < sorted.size(); ++t) {
-    size_t begin = cursor;
-    double upper = dim.edges[t + 1];
-    bool last = (t + 1 == k);
-    while (cursor < sorted.size() &&
-           (last || sorted[cursor] < upper)) {
-      ++cursor;
-    }
-    if (cursor > begin) {
-      dim.counts[t] = cursor - begin;
-      dim.v_min[t] = sorted[begin];
-      dim.v_max[t] = sorted[cursor - 1];
-      dim.unique[t] =
-          CountUniqueSorted(sorted.data() + begin, sorted.data() + cursor);
-    }
-  }
+  dim.counts = std::move(counts);
+  dim.v_min = std::move(v_min);
+  dim.v_max = std::move(v_max);
+  dim.unique = std::move(unique);
+  dim.parent = std::move(parent);
   return dim;
 }
 
 }  // namespace
 
-PairHistogram BuildPairHistogram(const std::vector<double>& xi,
-                                 const std::vector<double>& xj,
+PairHistogram BuildPairHistogram(const ColumnView& ci, const ColumnView& cj,
                                  uint32_t col_i, uint32_t col_j,
                                  const HistogramDim& h1_i,
                                  const HistogramDim& h1_j,
@@ -301,46 +318,67 @@ PairHistogram BuildPairHistogram(const std::vector<double>& xi,
   PairHistogram ph;
   ph.col_i = col_i;
   ph.col_j = col_j;
-  const size_t n = xi.size();
+  const size_t ns = ci.bins.size();
   const size_t ki0 = h1_i.NumBins();
   const size_t kj0 = h1_j.NumBins();
+  const uint32_t* bin_i = ci.bins.data();
+  const uint32_t* bin_j = cj.bins.data();
 
-  // Initial cell assignment on the 1-d edges.
-  std::vector<uint32_t> cell_of(n);
+  // Initial cell counts on the 1-d edges, from the precomputed 1-d bins.
   std::vector<uint32_t> cell_count(ki0 * kj0, 0);
-  for (size_t r = 0; r < n; ++r) {
-    size_t ti = h1_i.BinIndex(xi[r]);
-    size_t tj = h1_j.BinIndex(xj[r]);
-    uint32_t cell = static_cast<uint32_t>(ti * kj0 + tj);
-    cell_of[r] = cell;
-    ++cell_count[cell];
+  for (size_t p = 0; p < ns; ++p) {
+    if (bin_i[p] == kNullBin || bin_j[p] == kNullBin) continue;
+    ++cell_count[static_cast<size_t>(bin_i[p]) * kj0 + bin_j[p]];
   }
 
-  // Group row indices by cell (counting sort).
-  std::vector<uint32_t> offset(ki0 * kj0 + 1, 0);
-  for (size_t c = 0; c < cell_count.size(); ++c) {
-    offset[c + 1] = offset[c] + cell_count[c];
-  }
-  std::vector<uint32_t> grouped(n);
-  {
-    std::vector<uint32_t> cursor(offset.begin(), offset.end() - 1);
-    for (size_t r = 0; r < n; ++r) {
-      grouped[cursor[cell_of[r]]++] = static_cast<uint32_t>(r);
-    }
+  // Over-full cells get consecutive slot ranges (in row-major cell order)
+  // of the refinement lists; `fill` holds each one's first slot.
+  constexpr uint32_t kNotRefined = UINT32_MAX;
+  std::vector<uint32_t> fill(cell_count.size(), kNotRefined);
+  size_t refined_points = 0, largest = 0;
+  for (size_t cell = 0; cell < cell_count.size(); ++cell) {
+    if (cell_count[cell] <= config.min_points) continue;
+    fill[cell] = static_cast<uint32_t>(refined_points);
+    refined_points += cell_count[cell];
+    largest = std::max<size_t>(largest, cell_count[cell]);
   }
 
-  // Refine each over-full cell; gather new edges per dimension.
-  std::vector<double> new_edges_i, new_edges_j, scratch;
-  for (size_t ti = 0; ti < ki0; ++ti) {
-    for (size_t tj = 0; tj < kj0; ++tj) {
-      size_t cell = ti * kj0 + tj;
-      uint32_t cnt = cell_count[cell];
-      if (cnt <= config.min_points) continue;
-      std::vector<uint32_t> rows(grouped.begin() + offset[cell],
-                                 grouped.begin() + offset[cell + 1]);
-      RefineBin2D(xi, xj, std::move(rows), h1_i.edges[ti],
-                  h1_i.edges[ti + 1], h1_j.edges[tj], h1_j.edges[tj + 1], 0,
-                  config, critical, &new_edges_i, &new_edges_j, &scratch);
+  std::vector<double> new_edges_i, new_edges_j;
+  if (refined_points > 0) {
+    // Bucket every over-full cell's points twice, in i-order and in
+    // j-order, by walking the two sorted column orders; `next` is a copy of
+    // the first slots that advances as the cells fill.
+    const size_t m = refined_points;
+    std::vector<double> buf(4 * m + 2 * largest);
+    const SortedPoints all{buf.data(), buf.data() + m, buf.data() + 2 * m,
+                           buf.data() + 3 * m, m};
+    auto bucket = [&](const ColumnView& self, const ColumnView& other,
+                      std::vector<uint32_t> next, double* sorted,
+                      double* companion) {
+      for (uint32_t p : self.order) {
+        if (bin_i[p] == kNullBin || bin_j[p] == kNullBin) continue;
+        uint32_t& at = next[static_cast<size_t>(bin_i[p]) * kj0 + bin_j[p]];
+        if (at == kNotRefined) continue;
+        sorted[at] = self.values[p];
+        companion[at] = other.values[p];
+        ++at;
+      }
+    };
+    bucket(ci, cj, fill, all.by_i, all.by_i_xj);
+    bucket(cj, ci, std::move(fill), all.by_j, all.by_j_xi);
+
+    // Refine each over-full cell; gather new edges per dimension.
+    double* scratch = buf.data() + 4 * m;
+    size_t begin = 0;
+    for (size_t ti = 0; ti < ki0; ++ti) {
+      for (size_t tj = 0; tj < kj0; ++tj) {
+        const uint32_t cnt = cell_count[ti * kj0 + tj];
+        if (cnt <= config.min_points) continue;
+        RefineBin2D(all.Sub(begin, cnt), h1_i.edges[ti], h1_i.edges[ti + 1],
+                    h1_j.edges[tj], h1_j.edges[tj + 1], 0, config, critical,
+                    &new_edges_i, &new_edges_j, scratch);
+        begin += cnt;
+      }
     }
   }
 
@@ -353,21 +391,21 @@ PairHistogram BuildPairHistogram(const std::vector<double>& xi,
     all.erase(std::unique(all.begin(), all.end()), all.end());
     return all;
   };
-  std::vector<double> edges_i = merge_edges(h1_i.edges, new_edges_i);
-  std::vector<double> edges_j = merge_edges(h1_j.edges, new_edges_j);
 
-  ph.dim_i = BuildDimMetadata(xi, edges_i, h1_i);
-  ph.dim_j = BuildDimMetadata(xj, edges_j, h1_j);
-
-  // Final cell counts on the refined grid.
-  size_t ki = ph.dim_i.NumBins();
-  size_t kj = ph.dim_j.NumBins();
-  ph.cells.assign(ki * kj, 0);
-  for (size_t r = 0; r < n; ++r) {
-    size_t ti = ph.dim_i.BinIndex(xi[r]);
-    size_t tj = ph.dim_j.BinIndex(xj[r]);
-    ++ph.cells[ti * kj + tj];
+  // Metadata per dimension; each walk also records every pair row's
+  // refined bin, from which the final cells are counted.
+  std::vector<uint32_t> refined_i(ns), refined_j(ns);
+  ph.dim_i = BuildDimMetadata(ci, cj, merge_edges(h1_i.edges, new_edges_i),
+                              h1_i, refined_i.data());
+  ph.dim_j = BuildDimMetadata(cj, ci, merge_edges(h1_j.edges, new_edges_j),
+                              h1_j, refined_j.data());
+  const size_t kj = ph.dim_j.NumBins();
+  std::vector<uint64_t> cells(ph.dim_i.NumBins() * kj, 0);
+  for (size_t p = 0; p < ns; ++p) {
+    if (bin_i[p] == kNullBin || bin_j[p] == kNullBin) continue;
+    ++cells[static_cast<size_t>(refined_i[p]) * kj + refined_j[p]];
   }
+  ph.cells = std::move(cells);
   return ph;
 }
 

@@ -8,8 +8,10 @@
 #ifndef PAIRWISEHIST_HIST_HISTOGRAM_H_
 #define PAIRWISEHIST_HIST_HISTOGRAM_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/vec_view.h"
@@ -79,6 +81,25 @@ struct HistogramDim {
   uint64_t TotalCount() const;
 };
 
+/// HistogramDim::BinIndex of each value of a non-decreasing sequence,
+/// found by one forward walk over `edges` (ascending, at least two):
+/// O(values + edges) in all instead of a binary search per value.
+class BinWalker {
+ public:
+  explicit BinWalker(std::span<const double> edges) : edges_(edges) {}
+
+  /// Bin of `value`; values must be passed in non-decreasing order.
+  size_t Next(double value) {
+    // Advance to upper_bound(value): edges_[0, next_) <= value.
+    while (next_ < edges_.size() && !(value < edges_[next_])) ++next_;
+    return next_ == 0 ? 0 : std::min(next_ - 1, edges_.size() - 2);
+  }
+
+ private:
+  std::span<const double> edges_;
+  size_t next_ = 0;
+};
+
 /// Builds a refined one-dimensional histogram from `sorted_values`
 /// (ascending, nulls excluded) with the given initial edges (ascending;
 /// first <= min value, last > max value). Implements Algorithm 1 lines 3–12
@@ -133,12 +154,36 @@ struct PairHistogram {
   void BuildCellPrefix();
 };
 
-/// Builds the pairwise histogram for one column pair. `xi` / `xj` are the
-/// paired values for rows where BOTH columns are non-null. `h1_i` / `h1_j`
-/// are the already-built 1-d histograms providing initial edges (Algorithm 1
-/// lines 14–26).
-PairHistogram BuildPairHistogram(const std::vector<double>& xi,
-                                 const std::vector<double>& xj,
+/// 1-d bin recorded for a null sample entry in a ColumnView.
+inline constexpr uint32_t kNullBin = UINT32_MAX;
+
+/// One column of the construction sample as the pair builder reads it.
+/// PairwiseHist::Build computes it once per column and shares it, read
+/// only, with all d-1 pairs of that column. Position p is the p-th sampled
+/// row; `values` and `bins` have one entry per position.
+struct ColumnView {
+  /// Positions of the non-null values in ascending value order (ties in
+  /// ascending position: a stable sort).
+  std::span<const uint32_t> order;
+  /// The value at each position (unspecified where null).
+  std::span<const double> values;
+  /// The 1-d histogram bin of each value (as HistogramDim::BinIndex);
+  /// kNullBin where null.
+  std::span<const uint32_t> bins;
+};
+
+/// Builds the pairwise histogram for columns (i, j) over the sample
+/// positions where BOTH are non-null (Algorithm 1 lines 14–26). `ci` /
+/// `cj` index the two columns over the same sample; `h1_i` / `h1_j` are
+/// the 1-d histograms their `bins` refer to and supply the initial edges.
+///
+/// No sample value is sorted or binary-searched per pair: initial cells
+/// come from the precomputed 1-d bins, every over-full cell's values are
+/// bucketed by walking the two sorted orders, RefineBin2D splits those
+/// sorted lists with stable partitions, and the refined metadata and cells
+/// come from one walk per dimension. O(Ns + cells + refined points ·
+/// depth).
+PairHistogram BuildPairHistogram(const ColumnView& ci, const ColumnView& cj,
                                  uint32_t col_i, uint32_t col_j,
                                  const HistogramDim& h1_i,
                                  const HistogramDim& h1_j,

@@ -237,10 +237,12 @@ class Parser {
     return false;
   }
 
-  bool ErrorHere(const std::string& what) {
+  bool ErrorAt(size_t pos, const std::string& what) {
     return Fail(Status::InvalidArgument("SQL: " + what + " at offset " +
-                                        std::to_string(cur_.pos)));
+                                        std::to_string(pos)));
   }
+
+  bool ErrorHere(const std::string& what) { return ErrorAt(cur_.pos, what); }
 
   bool ParseAggFunc(AggFunc* func) {
     if (cur_.type != TokenType::kIdent) {
@@ -319,6 +321,7 @@ class Parser {
       return ErrorHere("expected comparison operator");
     }
     const std::string_view op = cur_.text;
+    const size_t op_pos = cur_.pos;
     if (!Advance()) return false;
     if (op == "<") cond.op = CmpOp::kLt;
     else if (op == "<=") cond.op = CmpOp::kLe;
@@ -326,7 +329,7 @@ class Parser {
     else if (op == ">=") cond.op = CmpOp::kGe;
     else if (op == "=" || op == "==") cond.op = CmpOp::kEq;
     else if (op == "!=" || op == "<>") cond.op = CmpOp::kNe;
-    else return ErrorHere("unknown operator '" + std::string(op) + "'");
+    else return ErrorAt(op_pos, "unknown operator '" + std::string(op) + "'");
 
     if (cur_.type == TokenType::kNumber) {
       cond.value = cur_.number;

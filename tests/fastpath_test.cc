@@ -477,6 +477,38 @@ TEST(ParallelBuild, DeterministicAcrossThreadCounts) {
   auto b = PairwiseHist::BuildFromTable(t.value(), par_cfg);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->Serialize(), b->Serialize());
+
+  // Sampled flights: null-heavy columns, so the per-column index has
+  // columns of different non-null lengths.
+  auto f = MakeDataset("flights", 24000, 21);
+  ASSERT_TRUE(f.ok());
+  PairwiseHistConfig flights_serial;
+  flights_serial.sample_size = 10000;
+  flights_serial.build_threads = 1;
+  PairwiseHistConfig flights_par = flights_serial;
+  flights_par.build_threads = 0;
+  auto fa = PairwiseHist::BuildFromTable(f.value(), flights_serial);
+  auto fb = PairwiseHist::BuildFromTable(f.value(), flights_par);
+  ASSERT_TRUE(fa.ok() && fb.ok());
+  EXPECT_EQ(fa->Serialize(), fb->Serialize());
+}
+
+TEST(ParallelBuild, SegmentedDbDeterministicAcrossThreadCounts) {
+  // Four segments: the build fans out over segments, each built serially.
+  auto t = MakeDataset("flights", 24000, 22);
+  ASSERT_TRUE(t.ok());
+  DbOptions serial;
+  serial.target_segment_rows = 6000;
+  serial.synopsis.sample_size = 4000;
+  serial.build_threads = 1;
+  DbOptions par = serial;
+  par.build_threads = 0;
+  auto a = Db::FromTable(t.value(), serial);
+  auto b = Db::FromTable(t.value(), par);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(a->num_segments(), 4u);
+  ASSERT_EQ(b->num_segments(), 4u);
+  EXPECT_EQ(a->synopses().Serialize(), b->synopses().Serialize());
 }
 
 TEST(ParallelBuild, DbOptionsKnobIsWired) {

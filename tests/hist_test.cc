@@ -10,6 +10,7 @@
 #include "common/stats.h"
 #include "hist/histogram.h"
 #include "hist/uniformity.h"
+#include "tests/oracle/pair_hist_oracle.h"
 
 namespace pairwisehist {
 namespace {
@@ -246,8 +247,9 @@ TEST(Refine2DTest, CorrelatedDataRefinesCells) {
       BuildHistogram1D(si, {0.0, 1000.0}, TestConfig(500), cache);
   HistogramDim h1j =
       BuildHistogram1D(sj, {0.0, 1000.0}, TestConfig(500), cache);
-  PairHistogram ph = BuildPairHistogram(xi, xj, 0, 1, h1i, h1j,
-                                        TestConfig(500), cache);
+  PairHistogram ph = BuildPairHistogram(IndexedColumn(xi, h1i).view(),
+                                        IndexedColumn(xj, h1j).view(), 0, 1,
+                                        h1i, h1j, TestConfig(500), cache);
   // Strong dependence ⇒ 2-d refinement must add edges beyond the 1-d grid.
   EXPECT_GT(ph.dim_i.NumBins() + ph.dim_j.NumBins(),
             h1i.NumBins() + h1j.NumBins());
@@ -281,8 +283,9 @@ TEST(Refine2DTest, ParentMappingConsistent) {
                                       cache);
   HistogramDim h1j = BuildHistogram1D(sj, {0.0, 1051.0}, TestConfig(300),
                                       cache);
-  PairHistogram ph = BuildPairHistogram(xi, xj, 0, 1, h1i, h1j,
-                                        TestConfig(300), cache);
+  PairHistogram ph = BuildPairHistogram(IndexedColumn(xi, h1i).view(),
+                                        IndexedColumn(xj, h1j).view(), 0, 1,
+                                        h1i, h1j, TestConfig(300), cache);
   ASSERT_EQ(ph.dim_i.parent.size(), ph.dim_i.NumBins());
   for (size_t t = 0; t < ph.dim_i.NumBins(); ++t) {
     size_t parent = ph.dim_i.parent[t];
@@ -309,8 +312,9 @@ TEST(Refine2DTest, IndependentUniformDataAddsNoEdges) {
                                       cache);
   HistogramDim h1j = BuildHistogram1D(sj, {0.0, 801.0}, TestConfig(500),
                                       cache);
-  PairHistogram ph = BuildPairHistogram(xi, xj, 0, 1, h1i, h1j,
-                                        TestConfig(500), cache);
+  PairHistogram ph = BuildPairHistogram(IndexedColumn(xi, h1i).view(),
+                                        IndexedColumn(xj, h1j).view(), 0, 1,
+                                        h1i, h1j, TestConfig(500), cache);
   EXPECT_EQ(ph.dim_i.NumBins(), h1i.NumBins());
   EXPECT_EQ(ph.dim_j.NumBins(), h1j.NumBins());
 }
@@ -324,8 +328,9 @@ TEST(Refine2DTest, EmptyInputProducesEmptyCells) {
   h1.v_min = {0.0};
   h1.v_max = {10.0};
   h1.unique = {0};
-  PairHistogram ph = BuildPairHistogram(empty, empty, 0, 1, h1, h1,
-                                        TestConfig(100), cache);
+  const IndexedColumn none(empty, h1);
+  PairHistogram ph = BuildPairHistogram(none.view(), none.view(), 0, 1, h1,
+                                        h1, TestConfig(100), cache);
   EXPECT_EQ(ph.cells.size(), 1u);
   EXPECT_EQ(ph.cells[0], 0u);
 }

@@ -161,7 +161,7 @@ TEST(SqlParserTest, ErrorMessagesNameTheOffset) {
       {"SELECT COUNT(x) FROM t WHERE a >;",
        "SQL: expected literal at offset 32"},
       {"SELECT COUNT(x) FROM t WHERE a ~ 1;",
-       "SQL: unknown operator '~' at offset 33"},
+       "SQL: unknown operator '~' at offset 31"},
       {"SELECT COUNT(x) FROM t WHERE a > 'open",
        "SQL: unterminated string at offset 33"},
       {"SELECT frob(x) FROM t;", "SQL: unknown aggregation 'FROB'"},
